@@ -12,13 +12,10 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/txn"
 )
-
-// completionEpsilon mirrors the simulator's float tolerance for slice
-// boundaries landing numerically on completion instants.
-const completionEpsilon = 1e-9
 
 // instance is one fault domain: a single-server backend with its own
 // scheduler queue, admission controller and fault injector.
@@ -486,7 +483,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 		// Completions (or keyed aborts) per instance, in index order.
 		for _, inst := range insts {
 			t := inst.running
-			if t == nil || t.Remaining > completionEpsilon {
+			if t == nil || t.Remaining > sim.CompletionEpsilon {
 				continue
 			}
 			inst.running = nil

@@ -210,7 +210,7 @@ func (b *StatusBoard) publish(now float64, finished bool, insts []*instance, tot
 // FleetOptions configures a live cluster replay.
 type FleetOptions struct {
 	// TimeScale is the wall-clock duration of one simulated time unit;
-	// default 200 microseconds, matching executor.Options.
+	// default executor.DefaultTimeScale, as for the single-backend executor.
 	TimeScale time.Duration
 	// Clock paces the replay; nil selects executor.RealClock. A FakeClock
 	// replays the identical schedule instantly and bit-deterministically —
@@ -241,7 +241,7 @@ type Fleet struct {
 // (overriding cfg.Pace); configuration errors surface from Run.
 func NewFleet(cfg Config, set *txn.Set, opts FleetOptions) *Fleet {
 	if opts.TimeScale <= 0 {
-		opts.TimeScale = 200 * time.Microsecond
+		opts.TimeScale = executor.DefaultTimeScale
 	}
 	if opts.Clock == nil {
 		opts.Clock = executor.RealClock{}

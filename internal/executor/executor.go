@@ -11,13 +11,18 @@
 // powers the asetsweb demo server, which exposes a live dashboard of an
 // ASETS*-scheduled transaction stream.
 //
-// Time handling: scheduling decisions and tardiness bookkeeping run on
-// event time (exactly the simulator's decision points), while wall-clock
-// sleeps only pace execution toward each event's scheduled instant. Timer
-// overshoot therefore puts the executor briefly into catch-up mode instead
-// of silently injecting extra load, and a paced run produces the same
-// schedule and the same tardiness as the discrete-event simulator on the
-// same workload — a property the tests assert exactly.
+// The executor has no event loop of its own: it is an adapter that runs the
+// simulator's loop through sim.Sim.RunPaced. It hands that loop two
+// callbacks. The pacing callback sleeps on the Clock toward each event's
+// scheduled wall-clock instant and ends the run when the context does; the
+// progress callback publishes Stats and calls Options.OnComplete.
+// Scheduling decisions and tardiness bookkeeping therefore run on event
+// time, exactly the simulator's decision points, while wall-clock sleeps
+// only pace execution. Timer overshoot puts the executor briefly into
+// catch-up mode instead of silently injecting extra load, and a paced run
+// produces the same schedule, event stream and tardiness as the
+// discrete-event simulator on the same workload — a property the tests
+// assert byte for byte.
 //
 // All wall-clock access goes through the Clock seam (Options.Clock): the
 // production RealClock paces against the host clock, while the FakeClock
@@ -25,38 +30,35 @@
 // wall-clock read exists in the executor, keeping the determinism policy of
 // docs/DETERMINISM.md intact end to end.
 //
-// Faults and overload protection (docs/ROBUSTNESS.md) thread through the
-// same event-time model: Options.Faults injects aborts, backend outage
-// windows and flash crowds at simulated instants (so a FakeClock replay of a
-// fault run is still bit-deterministic), and Options.Admit sheds arrivals
-// before they reach the scheduler.
+// Faults, admission control, contention and SLO alerting
+// (docs/ROBUSTNESS.md, docs/CONTENTION.md) are the simulator's layers,
+// configured through Options and wired by the shared loop, so a FakeClock
+// replay of a fault run is still bit-deterministic.
 package executor
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/contention"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/txn"
 )
 
-// inf marks "no such future event" in boundary computations.
-var inf = math.Inf(1)
+// DefaultTimeScale is the wall-clock duration of one simulated time unit
+// when none is configured: a 1000-transaction Table I workload at
+// utilization 0.8 replays in a few seconds.
+const DefaultTimeScale = 200 * time.Microsecond
 
 // Options configures an Executor.
 type Options struct {
-	// TimeScale is the wall-clock duration of one simulated time unit.
-	// Default 200 microseconds: a 1000-transaction Table I workload at
-	// utilization 0.8 replays in a few seconds.
+	// TimeScale is the wall-clock duration of one simulated time unit
+	// (default DefaultTimeScale).
 	TimeScale time.Duration
 	// OnComplete, when non-nil, is called from the executor goroutine after
 	// every completion with the transaction and its finish time in
@@ -66,77 +68,26 @@ type Options struct {
 	// makes Run instantaneous and bit-for-bit deterministic — the only
 	// wall-clock access in the executor goes through this seam.
 	Clock Clock
-	// Sink, when non-nil, receives the typed decision-event stream from
-	// the scheduler boundary. Events are stamped with the executor's event
-	// time (simulated units anchored at the Clock seam), never with a raw
-	// host-clock read, so a FakeClock replay emits a bit-identical stream.
-	Sink obs.Sink
-	// Metrics, when non-nil, accumulates the replay's counters, gauges and
-	// histograms; the asetsweb /metrics endpoint exports it live.
+	// Sink, Metrics, Faults and SLO configure the simulator layers of the
+	// same names (sim.Config). Events and alerts are stamped with event time,
+	// never with a host-clock read, so a FakeClock replay emits a
+	// bit-identical stream; the asetsweb /metrics endpoint exports Metrics
+	// live. A fault plan's flash-crowd bursts are applied to the set in New;
+	// an invalid plan surfaces as an error from Run.
+	Sink    obs.Sink
 	Metrics *obs.Registry
-	// Faults, when non-nil, is the fault plan the replay executes: keyed
-	// abort/restart decisions, backend stall/crash windows at simulated
-	// instants, and flash-crowd arrival compression (applied to the set in
-	// New, before the scheduler sees it). Invalid plans surface as an error
-	// from Run.
-	Faults *fault.Plan
+	Faults  *fault.Plan
+	SLO     *slo.Config
 	// Admit, when non-nil, is consulted on every arrival; rejected
 	// transactions are marked Shed and never reach the scheduler. All
 	// controller calls are serialized under the executor's lock, so Probe
 	// may interrogate the same controller from other goroutines.
 	Admit admit.Controller
-	// SLO, when non-nil, attaches the deterministic SLO alert engine to the
-	// replay: burn-rate rules evaluate at tumbling-window boundaries of
-	// simulated time, alert fire/resolve transitions are injected into Sink
-	// in stream order, and the per-class gauges land in Metrics. A FakeClock
-	// replay emits a bit-identical alert stream (docs/OBSERVABILITY.md).
-	SLO *slo.Config
 }
 
 // Stats is a point-in-time snapshot of executor progress, safe to read
-// while the executor runs.
-type Stats struct {
-	// Now is the current simulated time.
-	Now float64
-	// Submitted and Completed count transactions the scheduler accepted and
-	// finished; shed transactions are never submitted.
-	Submitted int
-	Completed int
-	// Running is the ID of the executing transaction, or -1.
-	Running txn.ID
-	// SumTardiness and MaxTardiness aggregate finished transactions.
-	SumTardiness float64
-	MaxTardiness float64
-	// Misses counts finished transactions that overran their deadline.
-	Misses int
-	// Shed counts arrivals the admission controller rejected.
-	Shed int
-	// Aborts, Restarts and Stalls count injected faults.
-	Aborts   int
-	Restarts int
-	Stalls   int
-	// ValidateFails counts commit-time validation failures — contention-
-	// driven re-executions (zero without a contended workload).
-	ValidateFails int
-	// Held counts aborted transactions currently waiting out a backoff.
-	Held int
-	// Backlog is the remaining work (simulated units) over admitted
-	// unfinished transactions — the quantity feasibility admission reasons
-	// about, and the basis of the server's Retry-After hint.
-	Backlog float64
-	// Degraded reports whether the admission controller is in degradation
-	// mode.
-	Degraded bool
-}
-
-// AvgTardiness returns the running average tardiness of completed
-// transactions.
-func (s Stats) AvgTardiness() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return s.SumTardiness / float64(s.Completed)
-}
+// while the executor runs: the shared event loop's published state.
+type Stats = sim.Progress
 
 // Executor replays one workload through a scheduler in real time. Create
 // with New, drive with Run, observe with Stats.
@@ -144,88 +95,63 @@ type Executor struct {
 	set   *txn.Set
 	sched sched.Scheduler
 	opts  Options
-
-	inj     *fault.Injector
-	rec     *fault.Recorder
-	val     *contention.Validator
-	crec    *contention.Recorder
-	sloSink *slo.Sink
-	initErr error
+	sim   *sim.Sim
 
 	mu    sync.Mutex
 	ctrl  admit.Controller // guarded by mu: the run loop and Probe both call it
-	stats Stats
-	done  bool
+	stats Stats            // guarded by mu
+	done  bool             // guarded by mu
 }
 
-// New prepares an executor. The scheduler must be freshly constructed (its
-// Init is called here) and must not be shared with another executor or
+// New prepares an executor. The scheduler must be freshly constructed (Run
+// initializes it) and must not be shared with another executor or
 // simulation. A fault plan's flash-crowd bursts mutate the set's arrival
-// times here, before the scheduler sees the workload; an invalid plan is
-// reported by Run.
+// times here, before Run starts and before a server can publish the
+// workload; an invalid plan is reported by Run.
 func New(s sched.Scheduler, set *txn.Set, opts Options) *Executor {
 	if opts.TimeScale <= 0 {
-		opts.TimeScale = 200 * time.Microsecond
+		opts.TimeScale = DefaultTimeScale
 	}
 	if opts.Clock == nil {
 		opts.Clock = RealClock{}
 	}
-	e := &Executor{
-		set:  set,
-		opts: opts,
-		ctrl: opts.Admit,
+	opts.Faults.ApplyBursts(set)
+	e := &Executor{set: set, sched: s, opts: opts, ctrl: opts.Admit, stats: Stats{Running: -1}}
+	cfg := sim.Config{Sink: opts.Sink, Metrics: opts.Metrics, Faults: opts.Faults, SLO: opts.SLO}
+	if opts.Admit != nil {
+		cfg.Admit = lockedController{mu: &e.mu, Controller: opts.Admit}
 	}
-	if opts.Faults != nil {
-		if err := opts.Faults.Validate(); err != nil {
-			e.initErr = err
-		} else {
-			e.inj = fault.NewInjector(opts.Faults, set.Len())
-			opts.Faults.ApplyBursts(set)
-		}
-	}
-	if opts.Admit != nil && e.initErr == nil {
-		// Shedding cascades to dependents (a shed dependency can never
-		// complete, so its dependents would deadlock the scheduler), which
-		// requires dependencies to be delivered before their dependents.
-		if err := admit.CheckArrivalOrder(set); err != nil {
-			e.initErr = err
-		}
-	}
-	set.ResetAll()
-	// The SLO engine wraps the configured sink so it sees the event stream
-	// exactly as emitted and injects alert transitions in stream order;
-	// everything downstream of here (instrumentation, recorders) emits
-	// through the wrapper. Same composition as sim.Run, so a FakeClock
-	// replay carries the identical alert stream as the simulator.
-	sink := opts.Sink
-	if opts.SLO != nil && e.initErr == nil {
-		if err := opts.SLO.Validate(); err != nil {
-			e.initErr = err
-		} else {
-			e.sloSink = slo.NewSink(slo.NewEngine(*opts.SLO, opts.Metrics), set, sink)
-			sink = e.sloSink
-		}
-	}
-	// Decision-loop instrumentation: a no-op pass-through when neither a
-	// sink nor a registry is configured.
-	s = sched.Instrument(s, sink, opts.Metrics)
-	s.Init(set)
-	if e.inj != nil || e.ctrl != nil {
-		// Route recorder events through the instrumented scheduler's staged
-		// event entry so they stay in emission order with decision events
-		// while sink delivery is batched.
-		e.rec = fault.NewRecorder(sched.EventSink(s, sink), opts.Metrics)
-	}
-	// A workload with read/write sets switches on commit-time validation:
-	// contention-driven aborts replace the injector's random draws
-	// (docs/CONTENTION.md). Nil for plain workloads.
-	e.val = contention.NewValidator(set)
-	if e.val != nil {
-		e.crec = contention.NewRecorder(sched.EventSink(s, sink), opts.Metrics)
-	}
-	e.sched = s
-	e.stats = Stats{Running: -1}
+	e.sim = sim.New(cfg)
 	return e
+}
+
+// lockedController serializes the run loop's calls into the admission
+// controller with Probe and AdmissionDegraded, which call it from other
+// goroutines under the executor's lock.
+type lockedController struct {
+	mu *sync.Mutex
+	admit.Controller
+}
+
+// Admit implements admit.Controller.
+func (c lockedController) Admit(t *txn.Transaction, st admit.State) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Controller.Admit(t, st)
+}
+
+// Complete implements admit.Controller.
+func (c lockedController) Complete(t *txn.Transaction, tardy bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Controller.Complete(t, tardy)
+}
+
+// Degraded implements admit.Controller.
+func (c lockedController) Degraded() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Controller.Degraded()
 }
 
 // Stats returns a consistent snapshot of progress.
@@ -252,7 +178,20 @@ func (e *Executor) Probe(t *txn.Transaction) (bool, Stats) {
 	if e.ctrl == nil {
 		return true, e.stats
 	}
-	return e.ctrl.Admit(t, e.admitStateLocked(e.stats.Now)), e.stats
+	running := 0
+	if e.stats.Running >= 0 {
+		running = 1
+	}
+	st := admit.State{
+		Now:       e.stats.Now,
+		Queued:    e.stats.Submitted - e.stats.Completed - e.stats.Held - running,
+		Running:   running,
+		Servers:   1,
+		Backlog:   e.stats.Backlog,
+		Completed: e.stats.Completed,
+		Misses:    e.stats.Misses,
+	}
+	return e.ctrl.Admit(t, st), e.stats
 }
 
 // AdmissionDegraded reports whether the admission controller is currently in
@@ -268,361 +207,32 @@ func (e *Executor) AdmissionDegraded() bool {
 	return e.ctrl.Degraded()
 }
 
-// admitStateLocked assembles the controller's view of the system. Callers
-// hold e.mu.
-func (e *Executor) admitStateLocked(now float64) admit.State {
-	running := 0
-	if e.stats.Running >= 0 {
-		running = 1
-	}
-	return admit.State{
-		Now:       now,
-		Queued:    e.stats.Submitted - e.stats.Completed - e.stats.Held - running,
-		Running:   running,
-		Servers:   1,
-		Backlog:   e.stats.Backlog,
-		Completed: e.stats.Completed,
-		Misses:    e.stats.Misses,
-	}
-}
-
 // Run replays the workload to completion or until ctx is cancelled. It
 // returns the number of completed transactions and an error if the context
-// ended the run early or the scheduler misbehaved.
+// ended the run early (ctx's error, with the partial count) or the
+// configuration or the scheduler was invalid.
 func (e *Executor) Run(ctx context.Context) (int, error) {
-	if e.initErr != nil {
-		return 0, fmt.Errorf("executor: %w", e.initErr)
-	}
-	order := make([]*txn.Transaction, e.set.Len())
-	copy(order, e.set.Txns)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].ID < order[j].ID
-	})
-
-	clock := e.opts.Clock
+	clock, scale := e.opts.Clock, e.opts.TimeScale
 	start := clock.Now()
-	wallAt := func(simT float64) time.Time {
-		return start.Add(time.Duration(simT * float64(e.opts.TimeScale)))
-	}
-
-	var now float64 // event time, in simulated units
-	nextArr := 0
-	completed := 0
-	shed := 0
-	n := e.set.Len()
-	stallSeen := -1
-
-	// deliver hands every due arrival to the scheduler, consulting the
-	// admission controller first when one is configured.
-	deliver := func(now float64) {
-		for nextArr < n && order[nextArr].Arrival <= now {
-			t := order[nextArr]
-			nextArr++
-			e.mu.Lock()
-			if e.ctrl != nil && t.Shed {
-				// Marked by an earlier cascade: a dependency was shed, so
-				// this transaction could never become ready.
-				shed++
-				e.stats.Shed = shed
-				e.stats.Now = now
-				e.mu.Unlock()
-				e.rec.Shed(now, t, "cascade")
-				continue
-			}
-			if e.ctrl != nil && !e.ctrl.Admit(t, e.admitStateLocked(now)) {
-				admit.CascadeShed(e.set, t)
-				shed++
-				e.stats.Shed = shed
-				e.stats.Now = now
-				ctrlName := e.ctrl.Name()
-				e.mu.Unlock()
-				e.rec.Shed(now, t, ctrlName)
-				continue
-			}
-			e.stats.Submitted++
-			e.stats.Backlog += t.Remaining
-			e.stats.Now = now
-			e.mu.Unlock()
-			e.sched.OnArrival(now, t)
-		}
-	}
-
-	// deliverRestarts re-queues aborted transactions whose backoff expired.
-	deliverRestarts := func(now float64) {
-		if e.inj == nil {
-			return
-		}
-		for _, t := range e.inj.PopDueRestarts(now) {
-			e.mu.Lock()
-			e.stats.Restarts++
-			e.stats.Held = e.inj.Held()
-			e.mu.Unlock()
-			e.rec.Restart(now, t)
-			e.sched.OnPreempt(now, t)
-		}
-	}
-
-	// enterStall records an outage window's entry exactly once.
-	enterStall := func(now float64, w fault.Window, idx int) {
-		if idx == stallSeen {
-			return
-		}
-		stallSeen = idx
-		e.inj.RecordStallEntered()
-		e.mu.Lock()
-		e.stats.Stalls++
-		e.mu.Unlock()
-		e.rec.StallEntered(now, w)
-	}
-
-	// nextRestart/nextStallStart are +Inf without an injector.
-	nextRestart := func() float64 {
-		if e.inj == nil {
-			return inf
-		}
-		return e.inj.NextRestart()
-	}
-	nextStallStart := func(now float64) float64 {
-		if e.inj == nil {
-			return inf
-		}
-		return e.inj.NextStallStart(now)
-	}
-
-	// sleepUntil waits for a clock instant, honouring cancellation. Staged
-	// events are delivered first, so live readers (the ring, SSE streams)
-	// see every decision up to the instant the executor pauses — the loop
-	// passes through here at least once per dispatch, which bounds event
-	// delivery lag to a single decision step.
-	sleepUntil := func(at time.Time) error {
-		if fl, ok := e.sched.(sched.ObsFlusher); ok {
-			fl.FlushObs()
-		}
-		d := at.Sub(clock.Now())
+	pace := func(next float64) error {
+		d := start.Add(time.Duration(next * float64(scale))).Sub(clock.Now())
 		if d <= 0 {
 			return ctx.Err()
 		}
 		return clock.Sleep(ctx, d)
 	}
-
-	defer func() {
-		// Drain batched instrumentation buffers before the run is marked
-		// done, so anything reading the registry after completion sees every
-		// observation. This runs on the executor goroutine, the only emitter,
-		// so it cannot race with in-flight emission.
-		if fl, ok := e.sched.(sched.ObsFlusher); ok {
-			fl.FlushObs()
-		}
-		if e.sloSink != nil {
-			// Publish the final (possibly partial-window) gauge snapshot; no
-			// alert decisions happen here, so the stream stays deterministic.
-			e.sloSink.Engine().Finish()
-		}
+	progress := func(p Stats, done *txn.Transaction) {
 		e.mu.Lock()
-		e.done = true
-		e.stats.Running = -1
+		e.stats = p
 		e.mu.Unlock()
-	}()
-
-	for completed+shed < n {
-		if err := ctx.Err(); err != nil {
-			return completed, err
+		if done != nil && e.opts.OnComplete != nil {
+			e.opts.OnComplete(done, p.Now)
 		}
-
-		// Stalled backend: arrivals queue and backoffs expire, but nothing
-		// runs until the window ends.
-		if e.inj != nil {
-			if w, idx, ok := e.inj.InStall(now); ok {
-				enterStall(now, w, idx)
-				event := w.End()
-				if nextArr < n && order[nextArr].Arrival < event {
-					event = order[nextArr].Arrival
-				}
-				if r := nextRestart(); r < event {
-					event = r
-				}
-				if err := sleepUntil(wallAt(event)); err != nil {
-					return completed, err
-				}
-				now = event
-				deliverRestarts(now)
-				deliver(now)
-				continue
-			}
-		}
-
-		t := e.sched.Next(now)
-		if t == nil {
-			// Idle: pace to the next arrival, restart expiry or outage
-			// window, then advance event time to it.
-			next := inf
-			if nextArr < n {
-				next = order[nextArr].Arrival
-			}
-			if r := nextRestart(); r < next {
-				next = r
-			}
-			if ss := nextStallStart(now); ss < next {
-				next = ss
-			}
-			if next == inf {
-				return completed, fmt.Errorf("executor: no ready transaction, no future arrivals and no pending restarts with %d/%d complete", completed, n)
-			}
-			now = next
-			if err := sleepUntil(wallAt(now)); err != nil {
-				return completed, err
-			}
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-		t.Started = true
-		if e.val != nil {
-			// Open (or continue) the incarnation: the read snapshot is as
-			// old as the incarnation's first dispatch.
-			e.val.Begin(t)
-		}
-		e.mu.Lock()
-		e.stats.Running = t.ID
-		e.stats.Now = now
-		e.mu.Unlock()
-
-		// Run until completion, the next arrival, the next restart expiry
-		// or the next outage window, whichever first.
-		finishSim := now + t.Remaining
-		boundary := finishSim
-		if nextArr < n && order[nextArr].Arrival < boundary {
-			boundary = order[nextArr].Arrival
-		}
-		if r := nextRestart(); r < boundary {
-			boundary = r
-		}
-		if ss := nextStallStart(now); ss < boundary {
-			boundary = ss
-		}
-
-		if boundary < finishSim {
-			if err := sleepUntil(wallAt(boundary)); err != nil {
-				return completed, err
-			}
-			dt := boundary - now
-			t.Remaining -= dt
-			now = boundary
-			e.mu.Lock()
-			e.stats.Running = -1
-			e.stats.Now = now
-			e.stats.Backlog -= dt
-			e.mu.Unlock()
-			// An outage window opening here preempts t; a crash window
-			// additionally destroys its in-flight progress.
-			if e.inj != nil {
-				if w, idx, ok := e.inj.InStall(now); ok {
-					enterStall(now, w, idx)
-					if w.Kind == fault.Crash {
-						e.inj.RecordCrashLoss(t)
-						e.mu.Lock()
-						e.stats.Aborts++
-						e.stats.Backlog += t.Length - t.Remaining
-						e.mu.Unlock()
-						t.Remaining = t.Length
-						if e.val != nil {
-							// The in-flight incarnation died with its
-							// snapshot; committed versions survive.
-							e.val.Reset(t)
-						}
-						e.rec.Abort(now, t, "crash", now)
-					}
-				}
-			}
-			e.sched.OnPreempt(now, t)
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		if err := sleepUntil(wallAt(finishSim)); err != nil {
-			return completed, err
-		}
-		consumed := t.Remaining
-		now = finishSim
-
-		// Contention-driven abort: commit-time validation failed because a
-		// commit during the incarnation overwrote one of t's reads. Rewind
-		// to full length and re-queue immediately — the next dispatch opens
-		// a fresh incarnation.
-		if e.val != nil && !e.val.CommitCheck(t) {
-			e.mu.Lock()
-			e.stats.ValidateFails++
-			e.stats.Backlog += t.Length - consumed
-			e.stats.Running = -1
-			e.stats.Now = now
-			e.mu.Unlock()
-			t.Remaining = t.Length
-			e.crec.ValidateFail(now, t)
-			e.sched.OnPreempt(now, t)
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		// The injector may abort the attempt at its completion instant: the
-		// transaction stays checked out while it waits out the backoff and
-		// re-enters the scheduler via OnPreempt when it expires.
-		if e.val == nil && e.inj != nil && e.inj.AbortsAttempt(t) {
-			retryAt := e.inj.RecordAbort(now, t)
-			e.mu.Lock()
-			e.stats.Aborts++
-			e.stats.Held = e.inj.Held()
-			e.stats.Backlog += t.Length - consumed
-			e.stats.Running = -1
-			e.stats.Now = now
-			e.mu.Unlock()
-			t.Remaining = t.Length
-			e.rec.Abort(now, t, "abort", retryAt)
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		t.Remaining = 0
-		t.Finished = true
-		t.FinishTime = now
-		completed++
-		e.sched.OnCompletion(now, t)
-
-		tard := t.Tardiness()
-		var degradeFlip, degradeTo bool
-		e.mu.Lock()
-		e.stats.Completed = completed
-		e.stats.Now = now
-		e.stats.Running = -1
-		e.stats.Backlog -= consumed
-		e.stats.SumTardiness += tard
-		if tard > e.stats.MaxTardiness {
-			e.stats.MaxTardiness = tard
-		}
-		if tard > 0 {
-			e.stats.Misses++
-		}
-		if e.ctrl != nil {
-			e.ctrl.Complete(t, tard > 0)
-			if d := e.ctrl.Degraded(); d != e.stats.Degraded {
-				e.stats.Degraded = d
-				degradeFlip, degradeTo = true, d
-			}
-		}
-		e.mu.Unlock()
-		if degradeFlip {
-			e.rec.Degrade(now, degradeTo)
-		}
-		if e.opts.OnComplete != nil {
-			e.opts.OnComplete(t, now)
-		}
-		deliverRestarts(now)
-		deliver(now)
 	}
-	return completed, nil
+	_, err := e.sim.RunPaced(e.set, e.sched, pace, progress)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.done = true
+	e.stats.Running = -1
+	return e.stats.Completed, err
 }

@@ -25,7 +25,7 @@ func FloatCmp() *Analyzer {
 		Name: "floatcmp",
 		Doc: "flags == and != between float64 deadline/slack/tardiness quantities " +
 			"outside comparator closures; use an epsilon comparison (cf. " +
-			"completionEpsilon in internal/sim) or annotate the intentional exact " +
+			"sim.CompletionEpsilon) or annotate the intentional exact " +
 			"check with //lint:ignore",
 	}
 	a.Run = func(pass *Pass) {
@@ -48,8 +48,8 @@ func FloatCmp() *Analyzer {
 				}
 				pass.Reportf(be.OpPos,
 					"exact %s comparison of float64 time quantity (%s %s %s); deadline/slack arithmetic "+
-						"accumulates rounding error — compare within an epsilon (cf. completionEpsilon in "+
-						"internal/sim) or annotate with //lint:ignore floatcmp",
+						"accumulates rounding error — compare within an epsilon (cf. "+
+						"sim.CompletionEpsilon) or annotate with //lint:ignore floatcmp",
 					be.Op, types.ExprString(be.X), be.Op, types.ExprString(be.Y))
 				return true
 			})

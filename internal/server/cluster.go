@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/executor"
 	"repro/internal/obs"
 	"repro/internal/txn"
 )
@@ -59,7 +60,7 @@ func NewCluster(cfg cluster.Config, set *txn.Set, opts cluster.FleetOptions) *Cl
 		s.schedName = cfg.NewScheduler().Name()
 	}
 	if s.timeScale <= 0 {
-		s.timeScale = 200 * time.Microsecond // NewFleet's default
+		s.timeScale = executor.DefaultTimeScale // NewFleet's default
 	}
 	s.reg = cfg.Metrics
 	if s.reg == nil {

@@ -107,7 +107,7 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 		s.admitName = opts.Admit.Name()
 	}
 	if s.timeScale <= 0 {
-		s.timeScale = 200 * time.Microsecond // executor.New's default
+		s.timeScale = executor.DefaultTimeScale
 	}
 	userComplete := opts.OnComplete
 	opts.OnComplete = func(t *txn.Transaction, finish float64) {

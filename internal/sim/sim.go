@@ -11,9 +11,14 @@
 //
 //	summary, err := sim.New(sim.Config{Servers: 2}).Run(set, scheduler)
 //
-// The same Sim also drives closed-loop session workloads
-// (Sim.RunClosedLoop), so every run mode shares one validated
-// configuration.
+// One event loop serves every single-backend run mode, fed by one of two
+// arrival sources: Run delivers a fixed set in arrival order, and
+// Sim.RunClosedLoop releases a session's next page when the page before it
+// completes. The live executor (internal/executor) is a thin adapter over
+// the same loop: Sim.RunPaced hands it a pacing callback, which sleeps
+// toward each event's wall-clock instant, and a progress callback, which
+// publishes the loop's counters. Every mode therefore shares one validated
+// configuration and one event order.
 //
 // Optional layers extend the paper's fault-free model: a deterministic
 // fault injector (Config.Faults) contributes abort/restart, backend
@@ -48,12 +53,11 @@ import (
 // uninstrumented, fault-free run.
 type Config struct {
 	// Recorder, when non-nil, receives every execution slice for later
-	// validation or visualization (open-loop runs only).
+	// validation or visualization.
 	Recorder *trace.Recorder
 	// Servers is the number of identical backend servers (default 1, the
 	// paper's model). With S servers the scheduler's S highest-priority
 	// transactions run concurrently under global preemptive scheduling.
-	// Closed-loop runs support a single server only.
 	Servers int
 	// MaxSteps bounds the number of scheduling decisions as a safety net
 	// against a buggy scheduler that spins without progress. Zero selects a
@@ -75,13 +79,14 @@ type Config struct {
 	// fresh fault.Injector is built per run, so the same plan subjects
 	// every policy to the identical fault schedule. The plan's flash-crowd
 	// bursts mutate the set's arrival times in place (idempotently).
-	// Open-loop runs only.
+	// Open-loop runs only: bursts are defined over fixed arrival times.
 	Faults *fault.Plan
 	// Admit, when non-nil, is consulted on every arrival; rejected
 	// transactions are marked Shed, never reach the scheduler, and are
 	// excluded from the summary's tardiness aggregates. Feedback
 	// controllers carry state — build a fresh one per run. Open-loop runs
-	// only.
+	// only: cascade shedding needs every dependency delivered before its
+	// dependents, which fixed arrival times guarantee.
 	Admit admit.Controller
 	// Patience is the closed-loop page-abandonment bound: a page whose
 	// render latency exceeds it counts as abandoned (0 disables the
@@ -92,8 +97,7 @@ type Config struct {
 	// alert_fire/alert_resolve transitions are injected into Sink in
 	// stream order at tumbling-window boundaries, and whose gauges
 	// register in Metrics (docs/OBSERVABILITY.md, "SLOs and alerting").
-	// Requires a Sink or a Metrics registry to be observable. Open-loop
-	// runs only.
+	// Requires a Sink or a Metrics registry to be observable.
 	SLO *slo.Config
 }
 
@@ -101,8 +105,6 @@ type Config struct {
 // the raw configured value, before defaulting, so Servers: -1 is rejected on
 // the same path for every run mode (a regression here once let negative
 // counts reach the event loop only because zero happened to default first).
-//
-//lint:coldpath config validation runs once before the event loop
 func (c Config) servers() (int, error) {
 	if c.Servers < 0 {
 		return 0, fmt.Errorf("sim: servers %d must be positive", c.Servers)
@@ -137,9 +139,42 @@ func New(cfg Config) *Sim {
 // remainders per class (docs/OBSERVABILITY.md, "SLOs and alerting").
 func (e *Sim) SLOState() *slo.State { return e.sloState }
 
-// completionEpsilon absorbs float64 error when a slice boundary lands
-// numerically on a completion instant.
-const completionEpsilon = 1e-9
+// CompletionEpsilon absorbs float64 error when a slice boundary lands
+// numerically on a completion instant: a transaction with at most this much
+// work left completes. The cluster engine uses the same tolerance.
+const CompletionEpsilon = 1e-9
+
+// Progress is the loop's state as RunPaced publishes it, and the live
+// executor's Stats.
+type Progress struct {
+	Now float64 // current simulated time
+	// Submitted counts arrivals handed to the scheduler (shed arrivals never
+	// are); Completed, Misses and Shed count completions, deadline overruns
+	// and arrivals the admission controller rejected.
+	Submitted, Completed, Misses, Shed int
+	// Running is the ID of the first server's transaction, or -1.
+	Running txn.ID
+	// SumTardiness and MaxTardiness aggregate finished transactions.
+	SumTardiness, MaxTardiness float64
+	// Aborts, Restarts and Stalls count injected faults, Held the aborted
+	// transactions waiting out a backoff, and ValidateFails the commit-time
+	// validation failures (contention-driven re-executions).
+	Aborts, Restarts, Stalls, Held, ValidateFails int
+	// Backlog is the remaining work (simulated units) over admitted
+	// unfinished transactions — the quantity feasibility admission reasons
+	// about, and the basis of the server's Retry-After hint.
+	Backlog  float64
+	Degraded bool // the admission controller is in degradation mode
+}
+
+// AvgTardiness returns the running average tardiness of completed
+// transactions.
+func (p Progress) AvgTardiness() float64 {
+	if p.Completed == 0 {
+		return 0
+	}
+	return p.SumTardiness / float64(p.Completed)
+}
 
 // Run simulates set to completion under scheduler s and returns the
 // performance summary. The transactions in set are reset first, so a
@@ -152,36 +187,62 @@ const completionEpsilon = 1e-9
 // one exception: it stays checked out while it waits out its backoff and is
 // returned through OnPreempt (with its remaining time reset) when the
 // backoff expires.
-//
-// Run is the decision loop ROADMAP item 2 wants allocation-free; the
-// hotpath marker makes asetslint enforce that transitively over everything
-// Run reaches, including every scheduling policy behind the Scheduler
-// interface and every Sink behind the observer.
-//
-//lint:hotpath
 func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
+	return e.run(set, s, hooks{})
+}
+
+// RunPaced is Run with a wall clock attached: the adapter the live executor
+// drives the event loop through. Before every advance of simulated time to
+// next, the loop publishes its state through progress, delivers staged
+// events to the sinks, and calls pace(next), which may sleep toward next's
+// wall-clock instant; a pace error (a cancelled context) ends the run and is
+// returned as is. progress also runs after every completion, with the
+// finished transaction, and once more when the run ends. Decisions depend
+// only on simulated time, so a paced run makes exactly Run's schedule.
+func (e *Sim) RunPaced(set *txn.Set, s sched.Scheduler, pace func(next float64) error, progress func(p Progress, done *txn.Transaction)) (*metrics.Summary, error) {
+	return e.run(set, s, hooks{pace: pace, progress: progress})
+}
+
+// MustRun is Run but panics on error; for examples and benchmarks where a
+// failure indicates a bug rather than a recoverable condition.
+func (e *Sim) MustRun(set *txn.Set, s sched.Scheduler) *metrics.Summary {
+	summary, err := e.Run(set, s)
+	if err != nil {
+		panic(err)
+	}
+	return summary
+}
+
+// hooks are what a run mode adds to the shared loop; the zero value is Run.
+type hooks struct {
+	// sessions, when non-nil, is the closed-loop arrival source.
+	sessions *sessionSource
+	pace     func(next float64) error
+	progress func(p Progress, done *txn.Transaction)
+}
+
+// run wires the configured layers around s, drives the event loop, and
+// summarizes the finished set.
+func (e *Sim) run(set *txn.Set, s sched.Scheduler, h hooks) (*metrics.Summary, error) {
 	cfg := e.cfg
 	n := set.Len()
-	servers, err := cfg.servers()
-	if err != nil {
+	l := &loop{set: set, rec: cfg.Recorder, ctrl: cfg.Admit, hooks: h, stallSeen: -1}
+	var err error
+	if l.servers, err = cfg.servers(); err != nil {
 		return nil, err
 	}
-	var inj *fault.Injector
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
-			//lint:ignore hotpath-alloc cold error exit during pre-loop setup
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		inj = fault.NewInjector(cfg.Faults, n)
+		l.inj = fault.NewInjector(cfg.Faults, n)
 		cfg.Faults.ApplyBursts(set)
 	}
-	ctrl := cfg.Admit
-	if ctrl != nil {
+	if l.ctrl != nil {
 		// Shedding cascades to dependents (a shed dependency can never
 		// complete, so its dependents would deadlock the scheduler), which
 		// requires dependencies to be delivered before their dependents.
 		if err := admit.CheckArrivalOrder(set); err != nil {
-			//lint:ignore hotpath-alloc cold error exit during pre-loop setup
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
@@ -194,7 +255,6 @@ func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
 	var sloSink *slo.Sink
 	if cfg.SLO != nil {
 		if err := cfg.SLO.Validate(); err != nil {
-			//lint:ignore hotpath-alloc cold error exit during pre-loop setup
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		sloSink = slo.NewSink(slo.NewEngine(*cfg.SLO, cfg.Metrics), set, sink)
@@ -205,204 +265,226 @@ func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
 	// s itself, so uninstrumented runs pay nothing.
 	s = sched.Instrument(s, sink, cfg.Metrics)
 	s.Init(set)
-	var rec *fault.Recorder
-	if inj != nil || ctrl != nil {
+	l.s = s
+	l.flusher, _ = s.(sched.ObsFlusher)
+	if l.inj != nil || l.ctrl != nil {
 		// The recorder emits through the instrumented scheduler's staged
 		// event entry, so its outage/shedding events stay interleaved with
 		// the decision-loop events in true emission order even though
 		// delivery to the sinks is batched.
-		rec = fault.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
+		l.frec = fault.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
 	}
 	// A workload with read/write sets switches on the contention model:
 	// commit-time validation with re-execution replaces the injector's
 	// random abort draws (docs/CONTENTION.md). NewValidator returns nil for
 	// plain workloads, keeping them on the exact pre-contention path.
-	val := contention.NewValidator(set)
-	var crec *contention.Recorder
-	if val != nil {
-		crec = contention.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
+	l.val = contention.NewValidator(set)
+	if l.val != nil {
+		l.crec = contention.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
 	}
 
-	// Arrival order: by time, ties by ID for determinism.
-	order := make([]*txn.Transaction, n)
-	copy(order, set.Txns)
-	//lint:ignore hotpath-alloc pre-loop setup: the arrival order is sorted once per run
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].ID < order[j].ID
-	})
+	if h.sessions != nil {
+		l.order = make([]*txn.Transaction, 0, n)
+		h.sessions.start(l)
+	} else {
+		// Arrival order: by time, ties by ID for determinism.
+		l.order = make([]*txn.Transaction, n)
+		copy(l.order, set.Txns)
+		sort.SliceStable(l.order, func(i, j int) bool {
+			if l.order[i].Arrival != l.order[j].Arrival {
+				return l.order[i].Arrival < l.order[j].Arrival
+			}
+			return l.order[i].ID < l.order[j].ID
+		})
+	}
+	l.running = make([]*txn.Transaction, 0, l.servers)
 
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
+	l.maxSteps = cfg.MaxSteps
+	if l.maxSteps == 0 {
 		// Every iteration either completes a transaction, consumes an
 		// arrival, or idles toward one; 8n+64 leaves ample slack. Aborts
 		// re-execute transactions and stall windows add boundary events, so
 		// a fault plan scales the budget up.
-		maxSteps = 8*n + 64
-		if inj != nil {
-			maxSteps = maxSteps*(1+cfg.Faults.MaxRestarts) + 16*len(cfg.Faults.Stalls)
+		l.maxSteps = 8*n + 64
+		if l.inj != nil {
+			l.maxSteps = l.maxSteps*(1+cfg.Faults.MaxRestarts) + 16*len(cfg.Faults.Stalls)
 		}
-		if val != nil {
+		if l.val != nil {
 			// Every validation failure re-executes a transaction from
 			// scratch; the structural bound is one failure per other
 			// transaction's commit inside the open window (quadratic only
 			// under total overlap).
-			maxSteps = 2*maxSteps + 2*n*n
+			l.maxSteps = 2*l.maxSteps + 2*n*n
 		}
 	}
 
-	var (
-		now      float64
-		nextArr  int
-		done     int
-		shed     int
-		misses   int
-		admitted int
-		backlog  float64 // remaining work over admitted unfinished transactions
-		busy     float64
-		steps    int
-		running  []*txn.Transaction
-		degraded bool
-		// stallSeen marks the outage windows whose entry was recorded, so
-		// the stall event fires exactly once per window hit.
-		stallSeen = -1
-	)
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	heldOut := func() int {
-		if inj == nil {
-			return 0
-		}
-		return inj.Held()
+	err = l.run()
+	// Drain batched instrumentation buffers before any reader can snapshot
+	// the registry — callers observe the post-run state, never a partial
+	// batch, even when a paced run was cancelled.
+	if l.flusher != nil {
+		l.flusher.FlushObs()
 	}
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	deliver := func(upTo float64) {
-		for nextArr < n && order[nextArr].Arrival <= upTo {
-			t := order[nextArr]
-			nextArr++
-			if ctrl != nil {
-				// Marked by an earlier cascade: a dependency was shed, so
-				// this transaction could never become ready.
-				if t.Shed {
-					shed++
-					rec.Shed(upTo, t, "cascade")
-					continue
-				}
-				st := admit.State{
-					Now: upTo, Queued: admitted - done - heldOut(), Servers: servers,
-					Backlog: backlog, Completed: done, Misses: misses,
-				}
-				if !ctrl.Admit(t, st) {
-					admit.CascadeShed(set, t)
-					shed++
-					rec.Shed(upTo, t, ctrl.Name())
-					continue
-				}
-			}
-			admitted++
-			backlog += t.Remaining
-			s.OnArrival(upTo, t)
-		}
+	if sloSink != nil {
+		// Final gauge publication; the open partial window is never
+		// evaluated (the slo package's determinism contract).
+		sloSink.Engine().Finish()
+		st := sloSink.Engine().State()
+		e.sloState = &st
 	}
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	deliverRestarts := func(upTo float64) {
-		if inj == nil {
-			return
-		}
-		for _, t := range inj.PopDueRestarts(upTo) {
-			rec.Restart(upTo, t)
-			s.OnPreempt(upTo, t)
-		}
+	if err != nil {
+		return nil, err
 	}
-	// enterStall records the outage window's entry event exactly once.
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	enterStall := func(w fault.Window, idx int) {
-		if idx != stallSeen {
-			stallSeen = idx
-			inj.RecordStallEntered()
-			rec.StallEntered(now, w)
-		}
+	summary, err := metrics.Compute(set, l.busy)
+	if err != nil {
+		return nil, err
 	}
+	if l.inj != nil {
+		summary.Aborts = l.inj.Aborts()
+		summary.Restarts = l.inj.Restarts()
+		summary.Stalls = l.inj.StallsEntered()
+	}
+	if l.val != nil {
+		summary.ValidateFails = l.val.Fails()
+	}
+	// The run is over and nothing retains the instrumentation wrapper (the
+	// caller owns the sink and the registry, not the wrapper), so recycle it
+	// for the next run. Error paths above skip this and simply let the
+	// wrapper be collected.
+	sched.ReleaseObs(s)
+	return summary, nil
+}
 
-	for done+shed < n {
+// loop is one run's event-loop state, shared by every run mode.
+type loop struct {
+	hooks
+	set      *txn.Set
+	s        sched.Scheduler
+	flusher  sched.ObsFlusher
+	servers  int
+	maxSteps int
+
+	rec  *trace.Recorder
+	inj  *fault.Injector
+	frec *fault.Recorder
+	ctrl admit.Controller
+	val  *contention.Validator
+	crec *contention.Recorder
+
+	// order holds the transactions in delivery order, consumed from next
+	// on: the whole set sorted by arrival, or — in a closed loop — the
+	// pages released so far.
+	order []*txn.Transaction
+	next  int
+
+	running  []*txn.Transaction
+	done     int
+	shed     int
+	misses   int
+	admitted int
+	backlog  float64 // remaining work over admitted unfinished transactions
+	busy     float64
+	sumTard  float64
+	maxTard  float64
+	degraded bool
+	// stallSeen marks the outage windows whose entry was recorded, so the
+	// stall event fires exactly once per window hit.
+	stallSeen int
+}
+
+// run is the event loop every run mode shares: the decision loop ROADMAP
+// item 2 wants allocation-free. The hotpath marker makes asetslint enforce
+// that transitively over everything the loop reaches, including every
+// scheduling policy behind the Scheduler interface and every Sink behind the
+// observer.
+//
+//lint:hotpath
+func (l *loop) run() error {
+	n := l.set.Len()
+	now := 0.0
+	steps := 0
+	running := l.running[:0]
+	for l.done+l.shed < n {
 		steps++
-		if steps > maxSteps {
+		if steps > l.maxSteps {
 			//lint:ignore hotpath-alloc cold error exit: livelock detection aborts the run
-			return nil, fmt.Errorf("sim: exceeded %d scheduling steps with %d/%d transactions complete (scheduler livelock?)", maxSteps, done, n)
+			return fmt.Errorf("sim: exceeded %d scheduling steps with %d/%d transactions complete (scheduler livelock?)", l.maxSteps, l.done, n)
 		}
 
 		// Stalled backend: time passes, arrivals queue and backoffs expire,
 		// but nothing is dispatched or makes progress until the window ends
 		// (running is always empty here — the window's opening preempted
 		// everything back to the scheduler).
-		if inj != nil {
-			if w, idx, ok := inj.InStall(now); ok {
-				enterStall(w, idx)
+		if l.inj != nil {
+			if w, idx, ok := l.inj.InStall(now); ok {
+				l.enterStall(now, w, idx)
 				event := w.End()
-				if nextArr < n && order[nextArr].Arrival < event {
-					event = order[nextArr].Arrival
+				if a := l.nextArrival(); a < event {
+					event = a
 				}
-				if r := inj.NextRestart(); r < event {
+				if r := l.inj.NextRestart(); r < event {
 					event = r
 				}
+				if err := l.advance(now, event, running); err != nil {
+					return err
+				}
 				now = event
-				deliverRestarts(now)
-				deliver(now)
+				l.deliverRestarts(now)
+				l.deliver(now)
 				continue
 			}
 		}
 
 		// Fill the free servers.
-		for len(running) < servers {
-			t := s.Next(now)
+		for len(running) < l.servers {
+			t := l.s.Next(now)
 			if t == nil {
 				break
 			}
 			if t.Finished {
 				//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
-				return nil, fmt.Errorf("sim: scheduler returned finished transaction %d", t.ID)
+				return fmt.Errorf("sim: scheduler returned finished transaction %d", t.ID)
 			}
 			if t.Arrival > now {
 				//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
-				return nil, fmt.Errorf("sim: scheduler returned transaction %d before its arrival (%v > %v)", t.ID, t.Arrival, now)
+				return fmt.Errorf("sim: scheduler returned transaction %d before its arrival (%v > %v)", t.ID, t.Arrival, now)
 			}
 			for _, other := range running {
 				if other == t {
 					//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
-					return nil, fmt.Errorf("sim: scheduler returned transaction %d to two servers", t.ID)
+					return fmt.Errorf("sim: scheduler returned transaction %d to two servers", t.ID)
 				}
 			}
 			t.Started = true
-			if val != nil {
+			if l.val != nil {
 				// Open (or continue) the incarnation: the read snapshot is
 				// as old as the incarnation's first dispatch.
-				val.Begin(t)
+				l.val.Begin(t)
 			}
 			running = append(running, t)
 		}
 
 		if len(running) == 0 {
 			// Idle until the next arrival, restart expiry or outage window.
-			next := math.Inf(1)
-			if nextArr < n {
-				next = order[nextArr].Arrival
-			}
-			if inj != nil {
-				if r := inj.NextRestart(); r < next {
+			next := l.nextArrival()
+			if l.inj != nil {
+				if r := l.inj.NextRestart(); r < next {
 					next = r
 				}
-				if ss := inj.NextStallStart(now); ss < next {
+				if ss := l.inj.NextStallStart(now); ss < next {
 					next = ss
 				}
 			}
 			if math.IsInf(next, 1) {
 				//lint:ignore hotpath-alloc cold error exit: deadlock detection aborts the run
-				return nil, fmt.Errorf("sim: no ready transaction and no future arrivals with %d/%d complete (dependency deadlock?)", done, n)
+				return fmt.Errorf("sim: no ready transaction and no future arrivals with %d/%d complete (dependency deadlock?)", l.done, n)
+			}
+			if err := l.advance(now, next, running); err != nil {
+				return err
 			}
 			now = next
-			deliverRestarts(now)
-			deliver(now)
+			l.deliverRestarts(now)
+			l.deliver(now)
 			continue
 		}
 
@@ -414,27 +496,30 @@ func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
 				event = f
 			}
 		}
-		if nextArr < n && order[nextArr].Arrival < event {
-			event = order[nextArr].Arrival
+		if a := l.nextArrival(); a < event {
+			event = a
 		}
-		if inj != nil {
-			if r := inj.NextRestart(); r < event {
+		if l.inj != nil {
+			if r := l.inj.NextRestart(); r < event {
 				event = r
 			}
-			if ss := inj.NextStallStart(now); ss < event {
+			if ss := l.inj.NextStallStart(now); ss < event {
 				event = ss
 			}
+		}
+		if err := l.advance(now, event, running); err != nil {
+			return err
 		}
 
 		// Advance all servers to the event.
 		dt := event - now
 		for _, t := range running {
-			if cfg.Recorder != nil && dt > 0 {
-				cfg.Recorder.Record(t.ID, now, event)
+			if l.rec != nil && dt > 0 {
+				l.rec.Record(t.ID, now, event)
 			}
 			t.Remaining -= dt
-			busy += dt
-			backlog -= dt
+			l.busy += dt
+			l.backlog -= dt
 		}
 		now = event
 
@@ -444,116 +529,199 @@ func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
 		// fill re-decides with fresh state.
 		still := running[:0]
 		for _, t := range running {
-			if t.Remaining > completionEpsilon {
+			if t.Remaining > CompletionEpsilon {
 				still = append(still, t)
 				continue
 			}
-			if val != nil {
-				if !val.CommitCheck(t) {
+			if l.val != nil {
+				if !l.val.CommitCheck(t) {
 					// Contention-driven abort: the read snapshot was
 					// invalidated by a commit during the incarnation. Rewind
 					// to full length and re-queue immediately — the next
 					// dispatch opens a fresh incarnation.
-					backlog += t.Length - t.Remaining
+					l.backlog += t.Length - t.Remaining
 					t.Remaining = t.Length
-					crec.ValidateFail(now, t)
-					s.OnPreempt(now, t)
+					l.crec.ValidateFail(now, t)
+					l.s.OnPreempt(now, t)
 					continue
 				}
-			} else if inj != nil && inj.AbortsAttempt(t) {
-				backlog += t.Length - t.Remaining
+			} else if l.inj != nil && l.inj.AbortsAttempt(t) {
+				l.backlog += t.Length - t.Remaining
 				t.Remaining = t.Length
-				retryAt := inj.RecordAbort(now, t)
-				rec.Abort(now, t, "abort", retryAt)
+				retryAt := l.inj.RecordAbort(now, t)
+				l.frec.Abort(now, t, "abort", retryAt)
 				continue
 			}
-			backlog -= t.Remaining
-			t.Remaining = 0
-			t.Finished = true
-			t.FinishTime = now
-			done++
-			s.OnCompletion(now, t)
-			if tardy := t.Tardiness() > 0; true {
-				if tardy {
-					misses++
-				}
-				if ctrl != nil {
-					ctrl.Complete(t, tardy)
-					if d := ctrl.Degraded(); d != degraded {
-						degraded = d
-						rec.Degrade(now, d)
-					}
-				}
-			}
+			l.complete(now, t)
 		}
 
 		// An outage window opening at this instant preempts the survivors;
 		// a crash window additionally destroys their in-flight work.
-		if inj != nil {
-			if w, idx, ok := inj.InStall(now); ok {
-				enterStall(w, idx)
+		if l.inj != nil {
+			if w, idx, ok := l.inj.InStall(now); ok {
+				l.enterStall(now, w, idx)
 				if w.Kind == fault.Crash {
 					for _, t := range still {
-						backlog += t.Length - t.Remaining
+						l.backlog += t.Length - t.Remaining
 						t.Remaining = t.Length
-						if val != nil {
+						if l.val != nil {
 							// The in-flight incarnation died with its
 							// snapshot; committed versions survive.
-							val.Reset(t)
+							l.val.Reset(t)
 						}
-						inj.RecordCrashLoss(t)
-						rec.Abort(now, t, "crash", now)
+						l.inj.RecordCrashLoss(t)
+						l.frec.Abort(now, t, "crash", now)
 					}
 				}
 			}
 		}
 		for _, t := range still {
-			s.OnPreempt(now, t)
+			l.s.OnPreempt(now, t)
 		}
 		running = running[:0]
-		deliverRestarts(now)
-		deliver(now)
+		l.deliverRestarts(now)
+		l.deliver(now)
 	}
-
-	// Drain batched instrumentation buffers before any reader can snapshot
-	// the registry — callers observe the post-run state, never a partial
-	// batch.
-	if fl, ok := s.(sched.ObsFlusher); ok {
-		fl.FlushObs()
+	if l.progress != nil {
+		l.progress(l.snapshot(now, nil), nil)
 	}
-	if sloSink != nil {
-		// Final gauge publication; the open partial window is never
-		// evaluated (the slo package's determinism contract).
-		sloSink.Engine().Finish()
-		st := sloSink.Engine().State()
-		e.sloState = &st
-	}
-	summary, err := metrics.Compute(set, busy)
-	if err != nil {
-		return nil, err
-	}
-	if inj != nil {
-		summary.Aborts = inj.Aborts()
-		summary.Restarts = inj.Restarts()
-		summary.Stalls = inj.StallsEntered()
-	}
-	if val != nil {
-		summary.ValidateFails = val.Fails()
-	}
-	// The run is over and nothing retains the instrumentation wrapper (the
-	// caller owns the sink and the registry, not the wrapper), so recycle it
-	// for the next run. Error paths above skip this and simply let the
-	// wrapper be collected.
-	sched.ReleaseObs(s)
-	return summary, nil
+	return nil
 }
 
-// MustRun is Run but panics on error; for examples and benchmarks where a
-// failure indicates a bug rather than a recoverable condition.
-func (e *Sim) MustRun(set *txn.Set, s sched.Scheduler) *metrics.Summary {
-	summary, err := e.Run(set, s)
-	if err != nil {
-		panic(err)
+// nextArrival returns the next undelivered arrival instant, or +Inf.
+func (l *loop) nextArrival() float64 {
+	if l.next < len(l.order) {
+		return l.order[l.next].Arrival
 	}
-	return summary
+	return math.Inf(1)
+}
+
+// advance is where a paced run meets the wall clock, once per step before
+// simulated time moves from now to event: it publishes the loop's state,
+// delivers the staged events (so live readers see every decision up to the
+// instant the run pauses) and hands event to the pacer.
+func (l *loop) advance(now, event float64, running []*txn.Transaction) error {
+	if l.pace == nil {
+		return nil
+	}
+	if l.progress != nil {
+		l.progress(l.snapshot(now, running), nil)
+	}
+	if l.flusher != nil {
+		l.flusher.FlushObs()
+	}
+	return l.pace(event)
+}
+
+// complete finishes t at now and feeds the completion back to the
+// scheduler, the admission controller and the run mode's hooks.
+func (l *loop) complete(now float64, t *txn.Transaction) {
+	l.backlog -= t.Remaining
+	t.Remaining = 0
+	t.Finished = true
+	t.FinishTime = now
+	l.done++
+	l.s.OnCompletion(now, t)
+	tard := t.Tardiness()
+	if tard > 0 {
+		l.misses++
+	}
+	if l.ctrl != nil {
+		l.ctrl.Complete(t, tard > 0)
+		if d := l.ctrl.Degraded(); d != l.degraded {
+			l.degraded = d
+			l.frec.Degrade(now, d)
+		}
+	}
+	if l.sessions != nil {
+		l.sessions.release(l, now, t)
+	}
+	if l.progress != nil {
+		l.sumTard += tard
+		l.maxTard = max(l.maxTard, tard)
+		l.progress(l.snapshot(now, nil), t)
+	}
+}
+
+// deliver hands every arrival due by upTo to the scheduler, consulting the
+// admission controller first when one is configured.
+func (l *loop) deliver(upTo float64) {
+	for l.next < len(l.order) && l.order[l.next].Arrival <= upTo {
+		t := l.order[l.next]
+		l.next++
+		if l.ctrl != nil {
+			// Marked by an earlier cascade: a dependency was shed, so this
+			// transaction could never become ready.
+			if t.Shed {
+				l.shed++
+				l.frec.Shed(upTo, t, "cascade")
+				continue
+			}
+			st := admit.State{
+				Now: upTo, Queued: l.admitted - l.done - l.held(), Servers: l.servers,
+				Backlog: l.backlog, Completed: l.done, Misses: l.misses,
+			}
+			if !l.ctrl.Admit(t, st) {
+				admit.CascadeShed(l.set, t)
+				l.shed++
+				l.frec.Shed(upTo, t, l.ctrl.Name())
+				continue
+			}
+		}
+		l.admitted++
+		l.backlog += t.Remaining
+		if l.sessions != nil {
+			l.sessions.arrive(t)
+		}
+		l.s.OnArrival(upTo, t)
+	}
+}
+
+// deliverRestarts re-queues the aborted transactions whose backoff expired
+// by upTo.
+func (l *loop) deliverRestarts(upTo float64) {
+	if l.inj == nil {
+		return
+	}
+	for _, t := range l.inj.PopDueRestarts(upTo) {
+		l.frec.Restart(upTo, t)
+		l.s.OnPreempt(upTo, t)
+	}
+}
+
+// enterStall records the outage window's entry event exactly once.
+func (l *loop) enterStall(now float64, w fault.Window, idx int) {
+	if idx != l.stallSeen {
+		l.stallSeen = idx
+		l.inj.RecordStallEntered()
+		l.frec.StallEntered(now, w)
+	}
+}
+
+// held counts aborted transactions waiting out a backoff.
+func (l *loop) held() int {
+	if l.inj == nil {
+		return 0
+	}
+	return l.inj.Held()
+}
+
+// snapshot assembles the published Progress at now.
+func (l *loop) snapshot(now float64, running []*txn.Transaction) Progress {
+	p := Progress{
+		Now: now, Submitted: l.admitted, Completed: l.done, Running: -1,
+		SumTardiness: l.sumTard, MaxTardiness: l.maxTard,
+		Misses: l.misses, Shed: l.shed, Held: l.held(),
+		Backlog: l.backlog, Degraded: l.degraded,
+	}
+	if len(running) > 0 {
+		p.Running = running[0].ID
+	}
+	if l.inj != nil {
+		p.Aborts, p.Restarts, p.Stalls = l.inj.Aborts(), l.inj.Restarts(), l.inj.StallsEntered()
+	}
+	if l.val != nil {
+		p.ValidateFails = l.val.Fails()
+	}
+	return p
 }

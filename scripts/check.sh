@@ -36,6 +36,9 @@ else
     go test -race ./...
 fi
 
+echo "== benchmark smoke test (live vs sim.Run digests, exactly-once completions)"
+(cd perfbench && go test .)
+
 echo "== asetslint"
 go run ./cmd/asetslint ./...
 
