@@ -281,8 +281,9 @@ type held struct {
 
 // Injector executes one Plan over one run: it owns the per-transaction
 // attempt counts, the backoff queue of aborted transactions, and the stall
-// window cursor. Build a fresh Injector per run (sim.Run and executor.New do
-// this from Options); the Plan itself is immutable and reusable.
+// window cursor. Build a fresh Injector per run (the simulator's event loop
+// does this from its Config, for the executor too); the Plan itself is
+// immutable and reusable.
 type Injector struct {
 	plan     *Plan
 	attempts []int
