@@ -10,9 +10,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -141,22 +139,6 @@ func clusterBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 	return jobs, cols
 }
 
-// clusterBenchDigest hashes the jobs' routed event streams in job order.
-func clusterBenchDigest(cols []*obs.Collector) ([32]byte, error) {
-	var buf bytes.Buffer
-	for _, col := range cols {
-		for _, ev := range col.Events() {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return [32]byte{}, err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-		}
-	}
-	return sha256.Sum256(buf.Bytes()), nil
-}
-
 // runClusterBench executes the three scenarios over seeds, twice (serial and
 // 4 workers) to enforce the determinism contract, and gates on failover
 // containing the crash damage.
@@ -166,7 +148,7 @@ func runClusterBench(w io.Writer, n, seeds int) error {
 		if _, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
 			return nil, [32]byte{}, err
 		}
-		digest, err := clusterBenchDigest(cols)
+		digest, _, err := streamDigest(cols)
 		return jobs, digest, err
 	}
 	serialJobs, serialDigest, err := run(1)

@@ -10,9 +10,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,22 +133,6 @@ func contentionBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 	return jobs, cols
 }
 
-// contentionBenchDigest hashes the jobs' decision-event streams in job order.
-func contentionBenchDigest(cols []*obs.Collector) ([32]byte, error) {
-	var buf bytes.Buffer
-	for _, col := range cols {
-		for _, ev := range col.Events() {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return [32]byte{}, err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-		}
-	}
-	return sha256.Sum256(buf.Bytes()), nil
-}
-
 // runContentionBench executes the sweep over seeds, twice (serial and 4
 // workers) to enforce the determinism contract, and gates on conflict-aware
 // dispatch beating the blind policy past the contention knee.
@@ -161,7 +143,7 @@ func runContentionBench(w io.Writer, n, seeds int) error {
 		if err != nil {
 			return nil, [32]byte{}, err
 		}
-		digest, err := contentionBenchDigest(cols)
+		digest, _, err := streamDigest(cols)
 		return sums, digest, err
 	}
 	serialSums, serialDigest, err := run(1)

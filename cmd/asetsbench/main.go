@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,28 +37,48 @@ import (
 
 func main() {
 	var (
-		figure       = flag.String("figure", "all", "experiment id to run, or 'all'")
-		n            = flag.Int("n", 1000, "transactions per workload (paper: 1000)")
-		seeds        = flag.Int("seeds", 5, "seeded runs per data point (paper: 5)")
-		parallel     = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		validate     = flag.Bool("validate", false, "validate every schedule against the trace checker")
-		chart        = flag.Bool("chart", false, "render an ASCII chart under each table")
-		csvDir       = flag.String("csv", "", "directory to write per-figure CSV files into")
-		svgDir       = flag.String("svg", "", "directory to write per-figure SVG charts into")
-		jsonDir      = flag.String("json", "", "directory to write per-figure JSON results into")
-		list         = flag.Bool("list", false, "list experiment ids and exit")
-		obsBench     = flag.String("obs-bench", "", "benchmark instrumentation overhead, write JSON to this path, and exit")
-		scaleBench   = flag.String("scale-bench", "", "run the 100k-transaction observability scale benchmark with enforced budgets, write JSON to this path, and exit")
-		scaleN       = flag.Int("scale-n", 100000, "transactions for -scale-bench")
-		spanBench    = flag.String("span-bench", "", "benchmark span-builder and sketch overhead, write JSON to this path, and exit")
-		faultBench   = flag.String("fault-bench", "", "sweep overload shedding vs open admission under a fault plan, write JSON to this path, and exit")
-		parBench     = flag.String("parallel-bench", "", "benchmark the parallel runner against the serial path, write JSON to this path, and exit")
-		clusterBench = flag.String("cluster-bench", "", "benchmark cluster failover vs a no-failover strawman under an instance crash, write JSON to this path, and exit")
-		contBench    = flag.String("contention-bench", "", "benchmark conflict-aware dispatch vs blind ASETS* on Zipf-contended workloads, write JSON to this path, and exit")
-		sloBench     = flag.String("slo-bench", "", "benchmark SLO alert lead time on the Table-I overload sweep, write JSON to this path, and exit")
+		figure   = flag.String("figure", "all", "experiment id to run, or 'all'")
+		n        = flag.Int("n", 1000, "transactions per workload (paper: 1000)")
+		seeds    = flag.Int("seeds", 5, "seeded runs per data point (paper: 5)")
+		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		validate = flag.Bool("validate", false, "validate every schedule against the trace checker")
+		chart    = flag.Bool("chart", false, "render an ASCII chart under each table")
+		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
+		svgDir   = flag.String("svg", "", "directory to write per-figure SVG charts into")
+		jsonDir  = flag.String("json", "", "directory to write per-figure JSON results into")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		scaleN   = flag.Int("scale-n", 100000, "transactions for -scale-bench")
 	)
 	seed := cliflag.AddSeed(flag.CommandLine)
 	sloFlags := cliflag.AddSLO(flag.CommandLine)
+	// The benchmark modes, in precedence order: the first one given writes
+	// its JSON report to the flag's path and exits. The closures read the
+	// shared flags after Parse.
+	benches := []struct {
+		flag, usage string
+		run         func(w io.Writer) error
+	}{
+		{"obs-bench", "benchmark instrumentation overhead",
+			func(w io.Writer) error { return runObsBench(w, *n, 6) }},
+		{"scale-bench", "run the 100k-transaction observability scale benchmark with enforced budgets",
+			func(w io.Writer) error { return runScaleBench(w, *scaleN) }},
+		{"span-bench", "benchmark span-builder and sketch overhead",
+			func(w io.Writer) error { return runSpanBench(w, *n, 6) }},
+		{"parallel-bench", "benchmark the parallel runner against the serial path",
+			func(w io.Writer) error { return runParallelBench(w, *n, min(*seeds, 2), *parallel, *seed) }},
+		{"cluster-bench", "benchmark cluster failover vs a no-failover strawman under an instance crash",
+			func(w io.Writer) error { return runClusterBench(w, *n, min(*seeds, 3)) }},
+		{"slo-bench", "benchmark SLO alert lead time on the Table-I overload sweep",
+			func(w io.Writer) error { return runSLOBench(w, *n, min(*seeds, 3), sloFlags.Config()) }},
+		{"contention-bench", "benchmark conflict-aware dispatch vs blind ASETS* on Zipf-contended workloads",
+			func(w io.Writer) error { return runContentionBench(w, *n, min(*seeds, 3)) }},
+		{"fault-bench", "sweep overload shedding vs open admission under a fault plan",
+			func(w io.Writer) error { return runFaultBench(w, *n, min(*seeds, 3)) }},
+	}
+	paths := make([]*string, len(benches))
+	for i, b := range benches {
+		paths[i] = flag.String(b.flag, "", b.usage+", write JSON to this path, and exit")
+	}
 	flag.Parse()
 	if err := sloFlags.Load(); err != nil {
 		cliflag.Fatal("asetsbench", err)
@@ -70,121 +91,12 @@ func main() {
 		return
 	}
 
-	if *obsBench != "" {
-		f, err := os.Create(*obsBench)
-		if err == nil {
-			err = runObsBench(f, *n, 6)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+	for i, b := range benches {
+		if *paths[i] == "" {
+			continue
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: obs-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scaleBench != "" {
-		f, err := os.Create(*scaleBench)
-		if err == nil {
-			err = runScaleBench(f, *scaleN)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: scale-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *spanBench != "" {
-		f, err := os.Create(*spanBench)
-		if err == nil {
-			err = runSpanBench(f, *n, 6)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: span-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parBench != "" {
-		f, err := os.Create(*parBench)
-		if err == nil {
-			err = runParallelBench(f, *n, min(*seeds, 2), *parallel, *seed)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: parallel-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterBench != "" {
-		f, err := os.Create(*clusterBench)
-		if err == nil {
-			err = runClusterBench(f, *n, min(*seeds, 3))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: cluster-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *sloBench != "" {
-		f, err := os.Create(*sloBench)
-		if err == nil {
-			err = runSLOBench(f, *n, min(*seeds, 3), sloFlags.Config())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: slo-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *contBench != "" {
-		f, err := os.Create(*contBench)
-		if err == nil {
-			err = runContentionBench(f, *n, min(*seeds, 3))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: contention-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *faultBench != "" {
-		f, err := os.Create(*faultBench)
-		if err == nil {
-			err = runFaultBench(f, *n, min(*seeds, 3))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: fault-bench: %v\n", err)
+		if err := writeBench(*paths[i], b.run); err != nil {
+			fmt.Fprintf(os.Stderr, "asetsbench: %s: %v\n", b.flag, err)
 			os.Exit(1)
 		}
 		return
@@ -302,4 +214,17 @@ func seriesMap(fig *report.Figure) map[string][]float64 {
 		out[s.Name] = s.Y
 	}
 	return out
+}
+
+// writeBench runs one benchmark mode into the file at path.
+func writeBench(path string, run func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = run(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

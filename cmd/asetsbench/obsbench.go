@@ -7,10 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -36,12 +33,8 @@ type obsBenchResult struct {
 	Batches             int   `json:"batches"`
 }
 
-// runObsBench measures full sim.Run calls under three configurations. The
-// timed batches are interleaved round-robin across configurations and each
-// configuration keeps its fastest individually-timed run, so slow
-// machine-wide drift — thermal throttling, a noisy CI neighbor — biases
-// every configuration equally instead of whichever happened to run in the
-// quiet block.
+// runObsBench measures full sim.Run calls under three configurations with
+// measureOverhead's interleaved min-of-runs timer.
 func runObsBench(w io.Writer, n, reps int) error {
 	cfg := workload.Default(0.9, 1).WithWorkflows(4, 1).WithWeights()
 	cfg.N = n
@@ -50,86 +43,32 @@ func runObsBench(w io.Writer, n, reps int) error {
 		return err
 	}
 
-	configs := []sim.Config{
-		{}, // baseline: no instrumentation
-		{Sink: obs.Discard},
-		{Sink: obs.NewRing(1024), Metrics: obs.NewRegistry()},
-	}
-	// Each batch times its runs individually and keeps the fastest single
-	// run: on a shared box, noise arrives in bursts long enough to cover a
-	// whole multi-run batch, but a quiet single-run window (~ms) is common,
-	// so min-of-runs converges where best-of-batch-averages cannot. The GC
-	// flush at the batch boundary keeps one configuration's concurrent mark
-	// debt from bleeding into its neighbor's timings; collections triggered
-	// mid-batch still charge (via mark assists) the configuration whose
-	// allocations forced them.
-	runBatch := func(cfg sim.Config, runs int, best time.Duration) (time.Duration, error) {
-		runtime.GC()
-		for j := 0; j < runs; j++ {
-			start := time.Now()
-			if _, err := sim.New(cfg).Run(set, core.New()); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	// Size batches to ~50ms each, calibrated on a baseline warmup run
-	// (which also pages everything in before timing starts).
-	warmupStart := time.Now()
-	if _, err := runBatch(configs[0], 1, 0); err != nil {
+	// The ring and registry persist across runs, as a live server's would.
+	ring := sim.Config{Sink: obs.NewRing(1024), Metrics: obs.NewRegistry()}
+	cost, runs, batches, err := measureOverhead(set, reps, []func() sim.Config{
+		func() sim.Config { return sim.Config{} }, // baseline: no instrumentation
+		func() sim.Config { return sim.Config{Sink: obs.Discard} },
+		func() sim.Config { return ring },
+	})
+	if err != nil {
 		return err
 	}
-	warmup := time.Since(warmupStart)
-	runs := int(50 * time.Millisecond / (warmup + 1))
-	if runs < 10 {
-		runs = 10
-	}
-	batches := 4 * reps
-
-	best := make([]time.Duration, len(configs))
-	for round := 0; round < batches; round++ {
-		for i, opts := range configs {
-			d, err := runBatch(opts, runs, best[i])
-			if err != nil {
-				return err
-			}
-			best[i] = d
-		}
-	}
-
-	nsPerOp := func(i int) int64 { return best[i].Nanoseconds() }
-	baseline, nop, ring := nsPerOp(0), nsPerOp(1), nsPerOp(2)
-	pct := func(v int64) float64 {
-		return 100 * (float64(v) - float64(baseline)) / float64(baseline)
-	}
+	baseline, nop, rg := cost[0], cost[1], cost[2]
 	res := obsBenchResult{
-		N:               n,
-		BaselineNsPerOp: baseline,
-		NopSinkNsPerOp:  nop,
-		RingSinkNsPerOp: ring,
-		NopOverheadPct:  pct(nop),
-		RingOverheadPct: pct(ring),
-		RunsPerBatch:    runs,
-		Batches:         batches,
-	}
-	allocs := func(cfg sim.Config) (int64, int64, error) {
-		return measureAllocs(5, func() error {
-			_, err := sim.New(cfg).Run(set, core.New())
-			return err
-		})
-	}
-	if res.BaselineAllocsPerOp, res.BaselineBytesPerOp, err = allocs(configs[0]); err != nil {
-		return err
-	}
-	if res.NopSinkAllocsPerOp, res.NopSinkBytesPerOp, err = allocs(configs[1]); err != nil {
-		return err
-	}
-	if res.RingSinkAllocsPerOp, res.RingSinkBytesPerOp, err = allocs(configs[2]); err != nil {
-		return err
+		N:                   n,
+		BaselineNsPerOp:     baseline.nsPerOp,
+		NopSinkNsPerOp:      nop.nsPerOp,
+		RingSinkNsPerOp:     rg.nsPerOp,
+		NopOverheadPct:      overheadPct(nop.nsPerOp, baseline.nsPerOp),
+		RingOverheadPct:     overheadPct(rg.nsPerOp, baseline.nsPerOp),
+		BaselineAllocsPerOp: baseline.allocsPerOp,
+		BaselineBytesPerOp:  baseline.bytesPerOp,
+		NopSinkAllocsPerOp:  nop.allocsPerOp,
+		NopSinkBytesPerOp:   nop.bytesPerOp,
+		RingSinkAllocsPerOp: rg.allocsPerOp,
+		RingSinkBytesPerOp:  rg.bytesPerOp,
+		RunsPerBatch:        runs,
+		Batches:             batches,
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -137,6 +76,6 @@ func runObsBench(w io.Writer, n, reps int) error {
 		return err
 	}
 	fmt.Printf("obs-bench: n=%d baseline=%dns nop-sink=%dns (%+.2f%%) ring-sink=%dns (%+.2f%%)\n",
-		n, baseline, nop, res.NopOverheadPct, ring, res.RingOverheadPct)
+		n, res.BaselineNsPerOp, res.NopSinkNsPerOp, res.NopOverheadPct, res.RingSinkNsPerOp, res.RingOverheadPct)
 	return nil
 }

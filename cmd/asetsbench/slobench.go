@@ -13,9 +13,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -136,27 +134,6 @@ func sloBenchJobs(n, seeds int, flagCfg *slo.Config) ([]runner.Job, []*obs.Colle
 	return jobs, cols
 }
 
-// sloBenchDigest hashes the jobs' decision-event streams in job order and
-// counts the alert transitions they carry.
-func sloBenchDigest(cols []*obs.Collector) ([32]byte, int, error) {
-	var buf bytes.Buffer
-	alerts := 0
-	for _, col := range cols {
-		for _, ev := range col.Events() {
-			if ev.Kind == obs.KindAlertFire || ev.Kind == obs.KindAlertResolve {
-				alerts++
-			}
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return [32]byte{}, 0, err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-		}
-	}
-	return sha256.Sum256(buf.Bytes()), alerts, nil
-}
-
 // sloBenchCellFromStream folds one cell's event stream: first alert_fire
 // time, the budget-exhaustion knee, and the final miss ratio.
 func sloBenchCellFromStream(evs []obs.Event, n int, target float64) sloBenchCell {
@@ -252,7 +229,7 @@ func runSLOBench(w io.Writer, n, seeds int, flagCfg *slo.Config) error {
 		if _, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
 			return nil, [32]byte{}, 0, err
 		}
-		digest, alerts, err := sloBenchDigest(cols)
+		digest, alerts, err := streamDigest(cols, obs.KindAlertFire, obs.KindAlertResolve)
 		return cols, digest, alerts, err
 	}
 	serialCols, serialDigest, alerts, err := run(1)

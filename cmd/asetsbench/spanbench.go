@@ -8,10 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -38,9 +35,8 @@ type spanBenchResult struct {
 }
 
 // runSpanBench measures full sim.Run calls with the span pipeline off, on,
-// and on with sketch observation. Batches interleave round-robin across the
-// three configurations with min-of-runs selection, as in runObsBench, so
-// machine-wide drift biases all configurations equally.
+// and on with sketch observation, with measureOverhead's interleaved
+// min-of-runs timer.
 func runSpanBench(w io.Writer, n, reps int) error {
 	cfg := workload.Default(0.9, 1).WithWorkflows(4, 1).WithWeights()
 	cfg.N = n
@@ -51,7 +47,7 @@ func runSpanBench(w io.Writer, n, reps int) error {
 
 	// The span builder holds per-run state, so each run builds a fresh one
 	// (that cost is part of what is being measured).
-	configs := []func() sim.Config{
+	cost, runs, batches, err := measureOverhead(set, reps, []func() sim.Config{
 		func() sim.Config { return sim.Config{} },
 		func() sim.Config {
 			return sim.Config{Sink: obs.NewSpanBuilder(set, obs.SpanOptions{})}
@@ -61,75 +57,26 @@ func runSpanBench(w io.Writer, n, reps int) error {
 				Metrics: obs.NewRegistry(), Window: 100,
 			})}
 		},
-	}
-	// Runs are timed individually with min-of-runs selection, and each batch
-	// starts from a flushed GC state, for the reasons given on runObsBench's
-	// batch runner.
-	runBatch := func(mk func() sim.Config, runs int, best time.Duration) (time.Duration, error) {
-		runtime.GC()
-		for j := 0; j < runs; j++ {
-			start := time.Now()
-			if _, err := sim.New(mk()).Run(set, core.New()); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	warmupStart := time.Now()
-	if _, err := runBatch(configs[0], 1, 0); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	warmup := time.Since(warmupStart)
-	runs := int(50 * time.Millisecond / (warmup + 1))
-	if runs < 10 {
-		runs = 10
-	}
-	batches := 4 * reps
-
-	best := make([]time.Duration, len(configs))
-	for round := 0; round < batches; round++ {
-		for i, mk := range configs {
-			d, err := runBatch(mk, runs, best[i])
-			if err != nil {
-				return err
-			}
-			best[i] = d
-		}
-	}
-
-	nsPerOp := func(i int) int64 { return best[i].Nanoseconds() }
-	baseline, spans, sketch := nsPerOp(0), nsPerOp(1), nsPerOp(2)
-	pct := func(v int64) float64 {
-		return 100 * (float64(v) - float64(baseline)) / float64(baseline)
-	}
+	baseline, spans, sketch := cost[0], cost[1], cost[2]
 	res := spanBenchResult{
-		N:                  n,
-		BaselineNsPerOp:    baseline,
-		SpansNsPerOp:       spans,
-		SpansSketchNsPerOp: sketch,
-		SpansOverheadPct:   pct(spans),
-		SketchOverheadPct:  pct(sketch),
-		RunsPerBatch:       runs,
-		Batches:            batches,
-	}
-	allocs := func(mk func() sim.Config) (int64, int64, error) {
-		return measureAllocs(5, func() error {
-			_, err := sim.New(mk()).Run(set, core.New())
-			return err
-		})
-	}
-	if res.BaselineAllocsPerOp, res.BaselineBytesPerOp, err = allocs(configs[0]); err != nil {
-		return err
-	}
-	if res.SpansAllocsPerOp, res.SpansBytesPerOp, err = allocs(configs[1]); err != nil {
-		return err
-	}
-	if res.SpansSketchAllocsPerOp, res.SpansSketchBytesPerOp, err = allocs(configs[2]); err != nil {
-		return err
+		N:                      n,
+		BaselineNsPerOp:        baseline.nsPerOp,
+		SpansNsPerOp:           spans.nsPerOp,
+		SpansSketchNsPerOp:     sketch.nsPerOp,
+		SpansOverheadPct:       overheadPct(spans.nsPerOp, baseline.nsPerOp),
+		SketchOverheadPct:      overheadPct(sketch.nsPerOp, baseline.nsPerOp),
+		BaselineAllocsPerOp:    baseline.allocsPerOp,
+		BaselineBytesPerOp:     baseline.bytesPerOp,
+		SpansAllocsPerOp:       spans.allocsPerOp,
+		SpansBytesPerOp:        spans.bytesPerOp,
+		SpansSketchAllocsPerOp: sketch.allocsPerOp,
+		SpansSketchBytesPerOp:  sketch.bytesPerOp,
+		RunsPerBatch:           runs,
+		Batches:                batches,
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -137,6 +84,6 @@ func runSpanBench(w io.Writer, n, reps int) error {
 		return err
 	}
 	fmt.Printf("span-bench: n=%d baseline=%dns spans=%dns (%+.2f%%) spans+sketch=%dns (%+.2f%%)\n",
-		n, baseline, spans, res.SpansOverheadPct, sketch, res.SketchOverheadPct)
+		n, res.BaselineNsPerOp, res.SpansNsPerOp, res.SpansOverheadPct, res.SpansSketchNsPerOp, res.SketchOverheadPct)
 	return nil
 }

@@ -82,7 +82,11 @@ func TestFullPipeline(t *testing.T) {
 			if svc <= 0 || dep < 0 || q < 0 {
 				t.Fatalf("wait decomposition: %v %v %v", dep, q, svc)
 			}
-			if peak, _ := analysis.PeakBacklog(analysis.BacklogSeries(loaded, rec, 100)); peak <= 0 {
+			peak := 0
+			for _, pt := range analysis.BacklogSeries(loaded, rec, 100) {
+				peak = max(peak, pt.Backlog)
+			}
+			if peak <= 0 {
 				t.Fatal("no backlog observed at utilization 0.85")
 			}
 		}

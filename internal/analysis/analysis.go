@@ -22,9 +22,6 @@ type Period struct {
 	Busy  bool
 }
 
-// Duration returns the period's length.
-func (p Period) Duration() float64 { return p.End - p.Start }
-
 // Periods reconstructs the alternating busy/idle structure of a schedule
 // from its execution slices (which the simulator records in time order).
 func Periods(rec *trace.Recorder) []Period {
@@ -69,13 +66,6 @@ func ByDependency(set *txn.Set) []ClassStats {
 		return "dependent"
 	}
 	return byClass(set, classify)
-}
-
-// ByWeight buckets transactions by integer weight.
-func ByWeight(set *txn.Set) []ClassStats {
-	return byClass(set, func(t *txn.Transaction) string {
-		return fmt.Sprintf("w=%g", t.Weight)
-	})
 }
 
 func byClass(set *txn.Set, classify func(*txn.Transaction) string) []ClassStats {

@@ -72,10 +72,6 @@ func TestPeakAndLateShare(t *testing.T) {
 		{Time: 2, Backlog: 3, Late: 3},
 		{Time: 3, Backlog: 0, Late: 0},
 	}
-	b, l := PeakBacklog(series)
-	if b != 5 || l != 3 {
-		t.Fatalf("peak = %d/%d", b, l)
-	}
 	want := (0.0 + 2.0/5 + 1.0) / 3
 	if got := MeanLateShare(series); got < want-1e-12 || got > want+1e-12 {
 		t.Fatalf("late share = %v, want %v", got, want)

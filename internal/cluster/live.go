@@ -259,14 +259,8 @@ func (f *Fleet) Status() FleetStatus { return f.board.Snapshot() }
 // FleetHealth.Enabled is false when the run has no SLO configuration.
 func (f *Fleet) Health() FleetHealth { return f.board.Health() }
 
-// Done reports whether Run has finished.
-func (f *Fleet) Done() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.done
-}
-
-// Result returns the run's outcome once Done; (nil, nil) before that.
+// Result returns the run's outcome once Run has finished; (nil, nil) before
+// that.
 func (f *Fleet) Result() (*Result, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

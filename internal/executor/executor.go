@@ -184,7 +184,7 @@ func (e *Executor) Probe(t *txn.Transaction) (bool, Stats) {
 	}
 	st := admit.State{
 		Now:       e.stats.Now,
-		Queued:    e.stats.Submitted - e.stats.Completed - e.stats.Held - running,
+		Queued:    e.stats.Submitted - e.stats.Completed - running,
 		Running:   running,
 		Servers:   1,
 		Backlog:   e.stats.Backlog,

@@ -297,10 +297,12 @@ func TestAblationCountBalanceRuns(t *testing.T) {
 // TestASETSSignificantlyBeatsStaticsAtCrossover uses paired comparison
 // (same workloads, per-seed pairing) to check the headline claim with
 // statistical teeth: at the crossover load, ASETS* improves on BOTH static
-// policies with |t| > 1.96 over 20 seeds.
+// policies with a paired t statistic (mean difference over its standard
+// error) above 1.96 over 20 seeds.
 func TestASETSSignificantlyBeatsStaticsAtCrossover(t *testing.T) {
 	const util = 0.6
-	var vsEDF, vsSRPT metrics.Paired
+	// Per-seed differences static - ASETS*: positive means ASETS* is better.
+	var vsEDF, vsSRPT metrics.Stream
 	for seed := uint64(1); seed <= 20; seed++ {
 		cfg := workload.Default(util, seed)
 		cfg.N = 400
@@ -315,14 +317,15 @@ func TestASETSSignificantlyBeatsStaticsAtCrossover(t *testing.T) {
 		edf := run(Policy{Name: "EDF", New: sched.NewEDF})
 		srpt := run(Policy{Name: "SRPT", New: sched.NewSRPT})
 		asets := run(asetsPolicy())
-		vsEDF.Add(edf, asets)
-		vsSRPT.Add(srpt, asets)
+		vsEDF.Add(edf - asets)
+		vsSRPT.Add(srpt - asets)
 	}
-	if !vsEDF.Significant05() || vsEDF.MeanDiff() <= 0 {
-		t.Errorf("ASETS* vs EDF not significantly better: %s", vsEDF.String())
+	significant := func(d *metrics.Stream) bool { return d.Mean() > 0 && d.Mean() > 1.96*d.StdErr() }
+	if !significant(&vsEDF) {
+		t.Errorf("ASETS* vs EDF not significantly better: diff %s", vsEDF.String())
 	}
-	if !vsSRPT.Significant05() || vsSRPT.MeanDiff() <= 0 {
-		t.Errorf("ASETS* vs SRPT not significantly better: %s", vsSRPT.String())
+	if !significant(&vsSRPT) {
+		t.Errorf("ASETS* vs SRPT not significantly better: diff %s", vsSRPT.String())
 	}
 }
 

@@ -301,9 +301,6 @@ func NewInjector(p *Plan, n int) *Injector {
 	return &Injector{plan: p, attempts: make([]int, n)}
 }
 
-// Plan returns the immutable plan behind this injector.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // Aborts returns the aborts injected so far (including crash losses).
 func (in *Injector) Aborts() int { return in.aborts }
 
@@ -315,9 +312,6 @@ func (in *Injector) StallsEntered() int { return in.stalls }
 
 // Held returns the number of aborted transactions waiting out a backoff.
 func (in *Injector) Held() int { return len(in.pending) }
-
-// Attempts returns the abort count of one transaction.
-func (in *Injector) Attempts(id txn.ID) int { return in.attempts[id] }
 
 // AbortsAttempt decides whether t's current completion attempt aborts. It
 // does not mutate state; call RecordAbort to commit the abort.

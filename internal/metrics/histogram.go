@@ -124,30 +124,6 @@ func (h *Histogram) extend(idx int) {
 	}
 }
 
-// Merge folds other into h: counts and bucket occupancies add, the running
-// sum accumulates (h.sum + other.sum, in that order — merging registries in
-// a fixed order therefore yields bit-identical sums), and the maximum is the
-// larger of the two. It returns an error when the bucket bases differ,
-// because the geometric layouts would not align. other is not modified.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h.base != other.base {
-		return fmt.Errorf("metrics: cannot merge histograms with bases %v and %v", h.base, other.base)
-	}
-	h.n += other.n
-	h.zero += other.zero
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for len(h.buckets) < len(other.buckets) {
-		h.buckets = append(h.buckets, 0)
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	return nil
-}
-
 // N returns the number of observations.
 func (h *Histogram) N() int { return h.n }
 
@@ -161,9 +137,6 @@ func (h *Histogram) Mean() float64 {
 
 // Max returns the largest observation.
 func (h *Histogram) Max() float64 { return h.max }
-
-// Base returns the bucket growth factor the histogram was constructed with.
-func (h *Histogram) Base() float64 { return h.base }
 
 // Sum returns the exact running sum of all observations, accumulated in
 // observation order — exporters that must agree bit-for-bit with an
@@ -198,29 +171,6 @@ func (h *Histogram) ZeroFraction() float64 {
 		return 0
 	}
 	return float64(h.zero) / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) using the
-// bucket upper edges: the true quantile lies within one bucket width below.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int(math.Ceil(q * float64(h.n)))
-	acc := h.zero
-	if acc >= target {
-		return 0
-	}
-	for i, c := range h.buckets {
-		acc += c
-		if acc >= target {
-			return math.Pow(h.base, float64(i+1))
-		}
-	}
-	return h.max
 }
 
 // String renders an ASCII bar view, one row per non-empty bucket.

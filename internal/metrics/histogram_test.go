@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -60,34 +59,6 @@ func TestHistogramSumAndBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(2)
-	// 50 zeros, 50 values of 8 (bucket [8,16)).
-	for i := 0; i < 50; i++ {
-		h.Add(0)
-	}
-	for i := 0; i < 50; i++ {
-		h.Add(8)
-	}
-	if q := h.Quantile(0.4); q != 0 {
-		t.Fatalf("q40 = %v, want 0", q)
-	}
-	q90 := h.Quantile(0.9)
-	if q90 < 8 || q90 > 16 {
-		t.Fatalf("q90 = %v, want within (8, 16]", q90)
-	}
-	if h.Quantile(1.0) < 8 {
-		t.Fatalf("q100 = %v", h.Quantile(1.0))
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewHistogram(2)
-	if h.Quantile(0.99) != 0 {
-		t.Fatal("empty quantile non-zero")
-	}
-}
-
 func TestHistogramSubUnitValues(t *testing.T) {
 	h := NewHistogram(2)
 	h.Add(0.001)
@@ -121,28 +92,5 @@ func TestHistogramString(t *testing.T) {
 	out := h.String()
 	if !strings.Contains(out, "n=2") || !strings.Contains(out, "=0") {
 		t.Fatalf("render: %q", out)
-	}
-}
-
-// TestQuickHistogramQuantileMonotone: quantiles are monotone in q and
-// bounded by the observation range for any data.
-func TestQuickHistogramQuantileMonotone(t *testing.T) {
-	f := func(vals []uint16) bool {
-		h := NewHistogram(2)
-		for _, v := range vals {
-			h.Add(float64(v))
-		}
-		prev := -1.0
-		for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-			cur := h.Quantile(q)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -5,23 +5,18 @@ import (
 	"math"
 )
 
-// Sketch is a deterministic, mergeable quantile sketch with fixed geometric
-// bucket boundaries (the DDSketch family): bucket i covers values in
+// Sketch is a deterministic quantile sketch with fixed geometric bucket
+// boundaries (the DDSketch family): bucket i covers values in
 // (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha), so every quantile
 // estimate is the upper edge of a bucket and carries a relative error bounded
 // by alpha. Because the boundaries are a pure function of alpha — never of
 // the data — two sketches built from the same observations in any order hold
-// identical bucket counts, and sketches from disjoint runs merge exactly
-// (counts add cell by cell). That fixed-boundary property is what lets the
-// parallel experiment engine keep windowed percentiles bit-identical between
-// serial and multi-worker runs (docs/PARALLELISM.md).
+// identical bucket counts.
 //
 // Like Histogram, a dedicated zero bucket carries the "met the deadline"
 // mass point of tardiness distributions, and the running Sum accumulates in
-// observation order (merge adds the other sketch's sum, so merging in job
-// order reproduces a serial run's sum bit for bit; see Merge).
+// observation order.
 type Sketch struct {
-	alpha    float64
 	gamma    float64
 	logGamma float64
 	zero     int64
@@ -46,7 +41,7 @@ func NewSketch(alpha float64) *Sketch {
 		panic(fmt.Sprintf("metrics: sketch alpha %v must be in (0, 1)", alpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{alpha: alpha, gamma: gamma, logGamma: math.Log(gamma)}
+	return &Sketch{gamma: gamma, logGamma: math.Log(gamma)}
 }
 
 // Add records one observation. Negative and NaN values panic: tardiness,
@@ -117,37 +112,6 @@ func (s *Sketch) extend(idx int) {
 	}
 }
 
-// Merge folds other into s: zero and bucket counts add cell by cell, the
-// running sum accumulates as s.sum + other.sum, and the maximum is the larger
-// of the two. Counts, cells, max — and therefore every quantile — are exact
-// under any merge grouping; the float sum is a left-fold, so it is
-// bit-reproducible for a fixed set of partials folded in a fixed order (the
-// runner merges per-job sketches in job order on both its serial and parallel
-// paths, which is why worker count never changes the merged sum). It returns
-// an error when the relative accuracies differ, because the bucket boundaries
-// would not align. other is not modified.
-func (s *Sketch) Merge(other *Sketch) error {
-	if s.alpha != other.alpha {
-		return fmt.Errorf("metrics: cannot merge sketches with alpha %v and %v", s.alpha, other.alpha)
-	}
-	s.n += other.n
-	s.zero += other.zero
-	s.sum += other.sum
-	if other.max > s.max {
-		s.max = other.max
-	}
-	for i, c := range other.buckets {
-		if c != 0 {
-			idx := other.lo + i
-			if idx < s.lo || idx >= s.lo+len(s.buckets) {
-				s.extend(idx)
-			}
-			s.buckets[idx-s.lo] += c
-		}
-	}
-	return nil
-}
-
 // Reset clears the sketch's counts, sum and maximum while keeping the bucket
 // array (and its covered index range) allocated, so a tumbling-window
 // observer can reuse one sketch per window without re-extending: after the
@@ -167,23 +131,17 @@ func (s *Sketch) Reset() {
 func (s *Sketch) N() int64 { return s.n }
 
 // Sum returns the exact running sum of all observations, accumulated in
-// observation (or merge) order.
+// observation order.
 func (s *Sketch) Sum() float64 { return s.sum }
 
 // Max returns the largest observation.
 func (s *Sketch) Max() float64 { return s.max }
 
-// Alpha returns the relative accuracy the sketch was constructed with.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
-// ZeroCount returns the number of exactly-zero observations.
-func (s *Sketch) ZeroCount() int64 { return s.zero }
-
 // Quantile returns the upper bucket edge holding the q-quantile (0 < q <= 1):
 // an upper estimate within relative error alpha of the true quantile (zero
 // for the zero bucket). The estimate is a pure function of the bucket counts
 // — identical counts give a bit-identical answer regardless of the order the
-// observations arrived or the sketches were merged in.
+// observations arrived in.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 || q <= 0 {
 		return 0
@@ -214,26 +172,4 @@ func (s *Sketch) Quantile(q float64) float64 {
 		}
 	}
 	return s.max
-}
-
-// SketchCell is one occupied bucket for exporters: Upper is the bucket's
-// upper edge (0 for the zero bucket) and Count the per-cell occupancy.
-type SketchCell struct {
-	Upper float64
-	Count int64
-}
-
-// Cells returns the occupied buckets in ascending upper-edge order, zero
-// bucket first (when occupied). Counts are per-cell, not cumulative.
-func (s *Sketch) Cells() []SketchCell {
-	out := make([]SketchCell, 0, len(s.buckets)+1)
-	if s.zero > 0 {
-		out = append(out, SketchCell{Upper: 0, Count: s.zero})
-	}
-	for i, c := range s.buckets {
-		if c > 0 {
-			out = append(out, SketchCell{Upper: math.Pow(s.gamma, float64(s.lo+i)), Count: c})
-		}
-	}
-	return out
 }

@@ -349,9 +349,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{cap: capacity, buf: make([]Event, capacity)}
 }
 
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return r.cap }
-
 // Emit implements Sink.
 func (r *Ring) Emit(ev Event) { r.EmitShared(&ev) }
 
@@ -473,7 +470,7 @@ func (c *Collector) Events() []Event {
 // JSONLWriter serializes each event as one JSON line — the sink behind
 // `asetssim -events out.jsonl`. Writes are buffered; call Flush before
 // closing the underlying writer. The first write error sticks and is
-// reported by Flush/Err; later events are dropped.
+// reported by every later Flush; later events are dropped.
 type JSONLWriter struct {
 	w   *bufio.Writer
 	seq uint64
@@ -513,9 +510,6 @@ func (j *JSONLWriter) Flush() error {
 	}
 	return j.err
 }
-
-// Err returns the first write or serialization error, if any.
-func (j *JSONLWriter) Err() error { return j.err }
 
 // ReadJSONL parses a JSONL event stream — the inverse of JSONLWriter, and
 // the entry point of the post-run report generator (cmd/asetsreport). Blank

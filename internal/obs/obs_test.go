@@ -222,8 +222,8 @@ func TestJSONLWriterStickyError(t *testing.T) {
 	if err := jw.Flush(); err == nil {
 		t.Fatal("flush after failed write returned nil")
 	}
-	if jw.Err() == nil {
-		t.Fatal("Err() lost the sticky error")
+	if jw.Flush() == nil {
+		t.Fatal("second flush lost the sticky error")
 	}
 }
 

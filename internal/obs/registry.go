@@ -83,17 +83,9 @@ type Sketch struct {
 	s  *metrics.Sketch // guarded by mu
 }
 
-// Observe records one non-negative observation.
-func (s *Sketch) Observe(v float64) {
-	s.mu.Lock()
-	s.s.Add(v)
-	s.mu.Unlock()
-}
-
 // ObserveBatch records a batch of observations in slice order under one lock
 // acquisition — the flush path of the span layer's insert buffers. The
-// sketch state afterwards is bit-identical to observing each value
-// individually.
+// sketch state afterwards is bit-identical to adding each value in turn.
 func (s *Sketch) ObserveBatch(vs []float64) {
 	s.mu.Lock()
 	s.s.AddBatch(vs)

@@ -11,9 +11,7 @@ func TestRegistrySketchHandle(t *testing.T) {
 	if r.Sketch("asets_test_sketch", "help", 0.01) != s {
 		t.Fatal("second registration returned a different handle")
 	}
-	s.Observe(0)
-	s.Observe(2)
-	s.Observe(4)
+	s.ObserveBatch([]float64{0, 2, 4})
 	snap := r.Snapshot()
 	if len(snap.Sketches) != 1 {
 		t.Fatalf("snapshot has %d sketches, want 1", len(snap.Sketches))
@@ -38,54 +36,10 @@ func TestRegistrySketchTypeConflict(t *testing.T) {
 	r.Sketch("asets_conflict", "", 0.01)
 }
 
-func TestRegistryMergeSketches(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	sa := a.Sketch("asets_m", "h", 0.01)
-	sb := b.Sketch("asets_m", "h", 0.01)
-	sa.Observe(1)
-	sb.Observe(2)
-	sb.Observe(0)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	sv := a.Snapshot().Sketches[0]
-	if sv.Count != 3 || sv.Sum != 3 || sv.Max != 2 {
-		t.Fatalf("merged sketch %+v", sv)
-	}
-	// Merging into a registry that lacks the sketch creates it.
-	c := NewRegistry()
-	if err := c.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if cv := c.Snapshot().Sketches[0]; cv.Count != 3 {
-		t.Fatalf("created-on-merge sketch %+v", cv)
-	}
-}
-
-func TestRegistryMergeSketchAlphaMismatch(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Sketch("asets_m", "h", 0.01).Observe(1)
-	b.Sketch("asets_m", "h", 0.05).Observe(1)
-	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "alpha") {
-		t.Fatalf("alpha mismatch not rejected: %v", err)
-	}
-}
-
-func TestRegistryMergeSketchTypeMismatch(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("asets_m", "h")
-	b.Sketch("asets_m", "h", 0.01)
-	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "sketch") {
-		t.Fatalf("type mismatch not rejected: %v", err)
-	}
-}
-
 func TestPrometheusSketchExport(t *testing.T) {
 	r := NewRegistry()
 	s := r.Sketch("asets_plain", "a plain sketch", 0.01)
-	for _, v := range []float64{0, 1, 2, 3, 4} {
-		s.Observe(v)
-	}
+	s.ObserveBatch([]float64{0, 1, 2, 3, 4})
 	var b strings.Builder
 	if err := WritePrometheus(&b, r); err != nil {
 		t.Fatal(err)

@@ -37,8 +37,7 @@ func TestWindowMetricExpositionUnbroken(t *testing.T) {
 	reg := NewRegistry()
 	sk := reg.Sketch(WindowMetric("tardiness", 0, "bad\"}\nclass", "edf"),
 		"windowed tardiness", 0.01)
-	sk.Observe(1.5)
-	sk.Observe(3)
+	sk.ObserveBatch([]float64{1.5, 3})
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, reg); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
-// Package pq provides the priority-queue substrates used by the schedulers:
-// a generic indexed binary heap supporting O(log n) update and removal of
-// arbitrary elements, and a treap-based ordered map (the "standard balanced
-// binary search tree" the paper cites for its O(log N) priority lists).
+// Package pq provides the priority queue used by the schedulers: a generic
+// indexed binary heap supporting O(log n) update and removal of arbitrary
+// elements. The heap alone meets the paper's O(log N) bound for its
+// priority lists; the paper's "standard balanced binary search tree" is one
+// way to reach it, not a requirement.
 package pq
 
 // Item is the element stored in a Heap. Embedding bookkeeping in the item
@@ -108,11 +109,6 @@ func (h *Heap[T]) Fix(it *Item[T]) {
 		h.up(it.index)
 	}
 }
-
-// Items returns the underlying slice in heap order (not sorted order). The
-// slice must not be mutated; it is exposed for iteration by invariant
-// checkers and tests.
-func (h *Heap[T]) Items() []*Item[T] { return h.items }
 
 func (h *Heap[T]) up(i int) {
 	for i > 0 {

@@ -47,7 +47,7 @@ func Derive(base, run uint64) uint64 {
 
 // Source is a deterministic uniform pseudo-random source based on the
 // xoshiro256** algorithm by Blackman and Vigna. It is not safe for
-// concurrent use; derive one Source per goroutine via Split.
+// concurrent use; derive one Source per goroutine with New(Derive(...)).
 type Source struct {
 	s0, s1, s2, s3 uint64
 }
@@ -78,12 +78,6 @@ func (r *Source) Uint64() uint64 {
 	r.s2 ^= t
 	r.s3 = rotl(r.s3, 45)
 	return result
-}
-
-// Split derives a new Source whose stream is statistically independent of
-// the receiver's. It consumes one value from the receiver.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -157,14 +151,4 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

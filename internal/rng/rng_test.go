@@ -47,20 +47,6 @@ func TestSourceSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	a := New(7)
-	b := a.Split()
-	matches := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			matches++
-		}
-	}
-	if matches > 2 {
-		t.Fatalf("split streams matched %d/100 draws", matches)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	src := New(99)
 	for i := 0; i < 100000; i++ {
@@ -199,23 +185,6 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) hit rate %v", p)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	src := New(61)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := src.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

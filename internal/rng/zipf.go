@@ -18,11 +18,10 @@ import (
 // and exactly one uniform variate consumed, which keeps workload replay
 // deterministic and cheap.
 type Zipf struct {
-	min   int
-	max   int
-	alpha float64
-	cdf   []float64 // cdf[i] = P(X <= min+i)
-	mean  float64
+	min  int
+	max  int
+	cdf  []float64 // cdf[i] = P(X <= min+i)
+	mean float64
 }
 
 // NewZipf constructs a bounded Zipf sampler on [min, max] with skew alpha.
@@ -36,7 +35,7 @@ func NewZipf(min, max int, alpha float64) (*Zipf, error) {
 		return nil, fmt.Errorf("rng: zipf alpha %v must be finite and non-negative", alpha)
 	}
 	n := max - min + 1
-	z := &Zipf{min: min, max: max, alpha: alpha, cdf: make([]float64, n)}
+	z := &Zipf{min: min, max: max, cdf: make([]float64, n)}
 	var total float64
 	for i := 0; i < n; i++ {
 		w := math.Pow(float64(i+1), -alpha)
@@ -87,9 +86,6 @@ func (z *Zipf) Min() int { return z.min }
 
 // Max returns the largest value in the support.
 func (z *Zipf) Max() int { return z.max }
-
-// Alpha returns the skew parameter.
-func (z *Zipf) Alpha() float64 { return z.alpha }
 
 // Prob returns P(X = v), or 0 if v is outside the support. Exposed for
 // distribution tests and for documentation tooling.

@@ -19,8 +19,8 @@
 //     aggregation visits summaries in the same order regardless of the
 //     worker count, and Pool{Workers: 1} is bit-equal to Workers: N.
 //   - Observability state is per-job: two jobs may not share a Recorder,
-//     Sink or Metrics registry. Per-run registries are merged afterwards,
-//     in job order, with obs.Registry.Merge.
+//     Sink or Metrics registry. Each job's registry, stream and spans are
+//     read back per job, after Run returns.
 package runner
 
 import (
@@ -223,24 +223,6 @@ func (p Pool) jobErr(job *Job, i int, err error) error {
 	return fmt.Errorf("runner: job %d: %w", i, err)
 }
 
-// MergeMetrics folds every job's private metrics registry into dst, in job
-// order — the deterministic aggregation step matching the gathering order of
-// Run. Jobs without a registry are skipped.
-func MergeMetrics(dst *obs.Registry, jobs []Job) error {
-	for i := range jobs {
-		reg := jobs[i].Config.Metrics
-		if cj := jobs[i].Cluster; cj != nil {
-			reg = cj.Config.Metrics
-		}
-		if reg != nil {
-			if err := dst.Merge(reg); err != nil {
-				return fmt.Errorf("runner: merging job %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
 // validate rejects malformed jobs and observability state shared between
 // jobs, which would race under concurrency and break the determinism
 // contract even without racing.
@@ -256,7 +238,7 @@ func (p Pool) validate(jobs []Job) error {
 		}
 		ref := obsRef{kind: kind, ptr: ptr}
 		if j, dup := seen[ref]; dup {
-			return fmt.Errorf("runner: jobs %d and %d share a %s; per-job observability state must be private (merge registries afterwards with obs.Registry.Merge)", j, i, kind)
+			return fmt.Errorf("runner: jobs %d and %d share a %s; per-job observability state must be private (give each job its own)", j, i, kind)
 		}
 		seen[ref] = i
 		return nil

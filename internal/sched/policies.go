@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/pq"
 	"repro/internal/txn"
 )
 
@@ -17,13 +18,14 @@ type Less func(a, b *txn.Transaction) bool
 // priorityPolicy is the shared machinery behind every single-queue baseline:
 // a ready queue ordered by a policy comparator plus a ReadyTracker for
 // precedence constraints. Transactions whose dependency lists are not yet
-// drained wait invisibly, exactly like the paper's Wait queue.
+// drained wait invisibly, exactly like the paper's Wait queue. The queue is
+// an indexed binary heap holding one reusable item per transaction ID.
 type priorityPolicy struct {
-	name    string
-	less    Less
-	backend Backend
-	rt      *ReadyTracker
-	queue   readyQueue
+	name  string
+	less  Less
+	rt    *ReadyTracker
+	heap  *pq.Heap[*txn.Transaction]
+	items []*pq.Item[*txn.Transaction]
 }
 
 // NewPriorityPolicy builds a preemptive priority scheduler with the given
@@ -41,33 +43,34 @@ func (p *priorityPolicy) Name() string { return p.name }
 //lint:coldpath per-run setup: the ready queue is built before the event loop
 func (p *priorityPolicy) Init(set *txn.Set) {
 	p.rt = NewReadyTracker(set)
-	switch p.backend {
-	case BackendHeap:
-		p.queue = newHeapQueue(set, p.less)
-	case BackendTreap:
-		p.queue = newTreapQueue(set, p.less)
-	default:
-		panic(fmt.Sprintf("sched: unknown ready-queue backend %d", p.backend))
+	p.heap = pq.NewHeap[*txn.Transaction](p.less)
+	p.items = make([]*pq.Item[*txn.Transaction], set.Len())
+	for _, t := range set.Txns {
+		p.items[t.ID] = pq.NewItem(t)
 	}
 }
 
 func (p *priorityPolicy) OnArrival(now float64, t *txn.Transaction) {
 	if p.rt.Arrive(t) {
-		p.queue.Push(t)
+		p.heap.Push(p.items[t.ID])
 	}
 }
 
 func (p *priorityPolicy) Next(now float64) *txn.Transaction {
-	return p.queue.Pop()
+	it := p.heap.Pop()
+	if it == nil {
+		return nil
+	}
+	return it.Value
 }
 
 func (p *priorityPolicy) OnPreempt(now float64, t *txn.Transaction) {
-	p.queue.Push(t)
+	p.heap.Push(p.items[t.ID])
 }
 
 func (p *priorityPolicy) OnCompletion(now float64, t *txn.Transaction) {
 	for _, r := range p.rt.Complete(t) {
-		p.queue.Push(r)
+		p.heap.Push(p.items[r.ID])
 	}
 }
 

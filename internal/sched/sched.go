@@ -94,9 +94,3 @@ func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
 func (rt *ReadyTracker) Ready(t *txn.Transaction) bool {
 	return rt.arrived[t.ID] && !rt.finished[t.ID] && rt.unfinished[t.ID] == 0
 }
-
-// Arrived reports whether t has been submitted.
-func (rt *ReadyTracker) Arrived(t *txn.Transaction) bool { return rt.arrived[t.ID] }
-
-// Finished reports whether t has completed.
-func (rt *ReadyTracker) Finished(t *txn.Transaction) bool { return rt.finished[t.ID] }

@@ -109,7 +109,7 @@ func TestReadyTrackerFinished(t *testing.T) {
 	if rt.Ready(s.ByID(0)) {
 		t.Fatal("finished transaction reported ready")
 	}
-	if !rt.Finished(s.ByID(0)) || !rt.Arrived(s.ByID(0)) {
+	if !rt.finished[0] || !rt.arrived[0] {
 		t.Fatal("state accessors disagree")
 	}
 }

@@ -83,10 +83,6 @@ func NewCluster(cfg cluster.Config, set *txn.Set, opts cluster.FleetOptions) *Cl
 	return s
 }
 
-// Registry exposes the fleet's metrics registry, so embedding programs can
-// add their own instruments to the same /metrics page.
-func (s *ClusterServer) Registry() *obs.Registry { return s.reg }
-
 // ServeHTTP implements http.Handler.
 func (s *ClusterServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 

@@ -58,7 +58,7 @@ func TestClusterStatsBeforeStart(t *testing.T) {
 	if hp.Status != "ok" || hp.Healthy != 4 {
 		t.Fatalf("pre-start /healthz = %+v", hp)
 	}
-	if s.fleet.Done() {
+	if s.fleet.Status().Done {
 		t.Fatal("fleet done before start")
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/obs"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -241,13 +242,16 @@ func TestStatsNowEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRegistryAccessor: embedding programs can extend the same /metrics page.
+// TestRegistryAccessor: embedding programs extend the same /metrics page
+// through the registry they pass in executor.Options.Metrics.
 func TestRegistryAccessor(t *testing.T) {
-	s, ts := testServer(t)
-	if s.Registry() == nil {
-		t.Fatal("nil registry")
-	}
-	s.Registry().Counter("asets_custom_total", "caller-added counter").Add(7)
+	cfg := workload.Default(0.7, 5)
+	cfg.N = 20
+	reg := obs.NewRegistry()
+	s := New(core.New(), workload.MustGenerate(cfg), &cfg, executor.Options{TimeScale: 20 * time.Microsecond, Metrics: reg})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	reg.Counter("asets_custom_total", "caller-added counter").Add(7)
 	body, _ := getBody(t, ts.URL+"/metrics")
 	if !strings.Contains(body, "asets_custom_total 7") {
 		t.Fatalf("caller metric missing:\n%s", body)

@@ -159,10 +159,6 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 	return s
 }
 
-// Registry exposes the server's metrics registry, so embedding programs can
-// add their own instruments to the same /metrics page.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 

@@ -145,9 +145,11 @@ func (src *sessionSource) release(l *loop, now float64, t *txn.Transaction) {
 }
 
 // request issues page pi of session si at time at: the page's transactions
-// take at as their arrival and join the loop's pending arrivals ordered by
-// (time, session), in page order within the page. Their deadlines stay
-// relative until delivery (see arrive).
+// take at as their arrival, their relative deadlines become absolute, and
+// they join the loop's pending arrivals ordered by (time, session), in page
+// order within the page. The whole page converts before any fragment is
+// delivered, so a policy that looks ahead at a workflow (ASETS*'s
+// representative) sees every fragment's absolute deadline.
 func (src *sessionSource) request(l *loop, si, pi int, at float64) {
 	page := src.sessions[si].Pages[pi]
 	src.page[si], src.requested[si], src.remaining[si] = pi, at, len(page)
@@ -169,16 +171,9 @@ func (src *sessionSource) request(l *loop, si, pi int, at float64) {
 	for k, id := range page {
 		t := src.set.ByID(id)
 		t.Arrival = at
+		t.Deadline += at
 		l.order[j+k] = t
 	}
-}
-
-// arrive makes t's relative deadline absolute as the loop delivers it. The
-// conversion happens per transaction, so when a page's first fragment
-// arrives the scheduler still sees its later fragments' relative deadlines;
-// ROADMAP.md records this as an open defect of the closed-loop model.
-func (src *sessionSource) arrive(t *txn.Transaction) {
-	t.Deadline = t.Arrival + t.Deadline
 }
 
 // validateSessions checks that the sessions partition the transaction set.

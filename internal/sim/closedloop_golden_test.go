@@ -26,7 +26,7 @@ var closedLoopGolden = map[string]struct {
 }{
 	"EDF":    {0x50608f7ee8f5d73c, 0x3fd9e79e79e79e7a},
 	"SRPT":   {0x2c93cc9b025654ad, 0x3fd3cf3cf3cf3cf4},
-	"ASETS*": {0xe684c45782cd79e1, 0x3fd8618618618618},
+	"ASETS*": {0xee60327c7ca6cbee, 0x3fdb6db6db6db6db},
 }
 
 func TestClosedLoopGolden(t *testing.T) {

@@ -168,3 +168,57 @@ func TestClosedLoopMoreUsersMoreLoad(t *testing.T) {
 		t.Fatalf("30 users (%v) should be tardier than 3 (%v)", many, few)
 	}
 }
+
+// pageSpy wraps a scheduler and checks, at every arrival, that each fragment
+// of the arriving transaction's page already carries its absolute deadline.
+type pageSpy struct {
+	sched.Scheduler
+	t        *testing.T
+	set      *txn.Set
+	pageOf   [][]txn.ID // transaction -> the fragments of its page
+	relative []float64  // transaction -> its deadline relative to the request
+	checked  int
+}
+
+func (s *pageSpy) OnArrival(now float64, tx *txn.Transaction) {
+	for _, id := range s.pageOf[tx.ID] {
+		f := s.set.ByID(id)
+		if f.Deadline != tx.Arrival+s.relative[id] {
+			s.t.Errorf("T%d arrives at %v: page fragment T%d has deadline %v, want absolute %v",
+				tx.ID, now, id, f.Deadline, tx.Arrival+s.relative[id])
+		}
+	}
+	s.checked++
+	s.Scheduler.OnArrival(now, tx)
+}
+
+// TestClosedLoopPageDeadlinesAbsoluteAtArrival: a page's relative deadlines
+// become absolute when the whole page is requested, before its first
+// fragment is delivered, so a policy that looks ahead at the page's workflow
+// never sees a later fragment's relative deadline.
+func TestClosedLoopPageDeadlinesAbsoluteAtArrival(t *testing.T) {
+	set, sessions, err := workload.GenerateSessions(workload.DefaultSessions(8, 0.9, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &pageSpy{
+		Scheduler: core.New(), t: t, set: set,
+		pageOf: make([][]txn.ID, set.Len()), relative: make([]float64, set.Len()),
+	}
+	for _, sess := range sessions {
+		for _, page := range sess.Pages {
+			for _, id := range page {
+				spy.pageOf[id] = page
+			}
+		}
+	}
+	for _, tx := range set.Txns {
+		spy.relative[tx.ID] = tx.Deadline
+	}
+	if _, err := New(Config{}).RunClosedLoop(set, sessions, spy); err != nil {
+		t.Fatal(err)
+	}
+	if spy.checked != set.Len() {
+		t.Fatalf("spy saw %d arrivals, want %d", spy.checked, set.Len())
+	}
+}

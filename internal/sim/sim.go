@@ -72,8 +72,7 @@ type Config struct {
 	Sink obs.Sink
 	// Metrics, when non-nil, accumulates the run's counters and histograms
 	// (see docs/OBSERVABILITY.md for the metric taxonomy). Concurrent runs
-	// must each use a private registry and merge afterwards with
-	// obs.Registry.Merge (docs/PARALLELISM.md).
+	// must each use a private registry (docs/PARALLELISM.md).
 	Metrics *obs.Registry
 	// Faults, when non-nil, is the validated fault plan the run executes: a
 	// fresh fault.Injector is built per run, so the same plan subjects
@@ -658,7 +657,7 @@ func (l *loop) deliver(upTo float64) {
 				continue
 			}
 			st := admit.State{
-				Now: upTo, Queued: l.admitted - l.done - l.held(), Servers: l.servers,
+				Now: upTo, Queued: l.admitted - l.done, Servers: l.servers,
 				Backlog: l.backlog, Completed: l.done, Misses: l.misses,
 			}
 			if !l.ctrl.Admit(t, st) {
@@ -670,9 +669,6 @@ func (l *loop) deliver(upTo float64) {
 		}
 		l.admitted++
 		l.backlog += t.Remaining
-		if l.sessions != nil {
-			l.sessions.arrive(t)
-		}
 		l.s.OnArrival(upTo, t)
 	}
 }

@@ -503,9 +503,6 @@ func (e *Engine) State() State {
 	return st
 }
 
-// Threshold returns the configured burn threshold (for rollup consumers).
-func (e *Engine) Threshold() float64 { return e.cfg.Threshold }
-
 // String renders a one-line summary, for logs and tests.
 func (e *Engine) String() string {
 	st := e.State()

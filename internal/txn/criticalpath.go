@@ -1,7 +1,5 @@
 package txn
 
-import "fmt"
-
 // CriticalPath computes, for every transaction, the total service time of
 // the longest dependency chain ending at that transaction (inclusive). This
 // is the structural lower bound on the transaction's response time measured
@@ -26,27 +24,6 @@ func CriticalPath(s *Set) ([]float64, error) {
 		cp[id] = longest + t.Length
 	}
 	return cp, nil
-}
-
-// WorkflowCriticalPath returns the critical path of one workflow: the
-// maximum CriticalPath value over its members (the root's value for a
-// chain). It panics on inconsistent input, which indicates workflow and set
-// were built from different workloads.
-func WorkflowCriticalPath(s *Set, wf *Workflow) float64 {
-	cp, err := CriticalPath(s)
-	if err != nil {
-		panic(fmt.Sprintf("txn: critical path on invalid set: %v", err))
-	}
-	longest := 0.0
-	for _, id := range wf.Members {
-		if int(id) >= len(cp) {
-			panic(fmt.Sprintf("txn: workflow member %d outside set of %d", id, len(cp)))
-		}
-		if cp[id] > longest {
-			longest = cp[id]
-		}
-	}
-	return longest
 }
 
 // EarliestFinishTimes returns, per transaction, the earliest instant it
