@@ -259,6 +259,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 		pendingArr []*txn.Transaction
 		views      = make([]InstanceView, cfg.Instances)
 		victims    []*txn.Transaction
+		restarts   []*txn.Transaction // Injector.PopDueRestarts buffer
 	)
 	for i := range owner {
 		owner[i] = -1
@@ -632,7 +633,8 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 			if inst.inj == nil {
 				continue
 			}
-			for _, t := range inst.inj.PopDueRestarts(now) {
+			restarts = inst.inj.PopDueRestarts(now, restarts[:0])
+			for _, t := range restarts {
 				rec.Restart(now, t)
 				inst.queued++
 				inst.delivered = true

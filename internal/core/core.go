@@ -133,15 +133,24 @@ type ASETSStar struct {
 
 	set      *txn.Set
 	rt       *sched.ReadyTracker
-	entities []*entity
-	memberOf [][]*entity // transaction ID -> entities whose workflow contains it
+	newly    []*txn.Transaction // ReadyTracker.Complete buffer
+	entities []entity           // one slab, indexed by workflow ID
+	// memberOf maps a transaction to the entities whose workflow contains
+	// it, in CSR form: transaction id's entities are
+	// memberOf[memberStart[id]:memberStart[id+1]], in workflow order.
+	memberStart []int32
+	memberOf    []*entity
 
 	edf    *pq.Heap[*entity] // ordered by representative deadline
 	hdf    *pq.Heap[*entity] // ordered by representative density (weight/remaining)
 	expiry *pq.Heap[*entity] // EDF residents ordered by expiry time
 
-	readyTxns  map[txn.ID]*txn.Transaction // candidates for T_old
-	checkedOut []bool                      // transactions handed out via Next and not yet returned
+	// ready is the T_old candidate set: the available transactions (ready
+	// and not checked out), as a dense list plus each ID's position in it
+	// (-1 when absent), so insertion and removal are O(1).
+	ready      []*txn.Transaction
+	readyPos   []int32
+	checkedOut []bool // transactions handed out via Next and not yet returned
 
 	schedPoints    int
 	nextActivation float64
@@ -206,15 +215,28 @@ func (a *ASETSStar) Init(set *txn.Set) {
 	} else {
 		wfs = txn.BuildWorkflows(set)
 	}
-	a.entities = make([]*entity, len(wfs))
-	a.memberOf = make([][]*entity, set.Len())
+	a.entities = make([]entity, len(wfs))
+	items := pq.NewItems[*entity](2 * len(wfs))
+	a.memberStart = make([]int32, set.Len()+1)
 	for i, wf := range wfs {
-		e := &entity{wf: wf}
-		e.item = pq.NewItem(e)
-		e.exp = pq.NewItem(e)
-		a.entities[i] = e
+		e := &a.entities[i]
+		e.wf = wf
+		e.item, e.exp = &items[2*i], &items[2*i+1]
+		e.item.Value, e.exp.Value = e, e
 		for _, id := range wf.Members {
-			a.memberOf[id] = append(a.memberOf[id], e)
+			a.memberStart[id+1]++
+		}
+	}
+	for id := 1; id < len(a.memberStart); id++ {
+		a.memberStart[id] += a.memberStart[id-1]
+	}
+	a.memberOf = make([]*entity, a.memberStart[set.Len()])
+	fill := make([]int32, set.Len())
+	copy(fill, a.memberStart)
+	for i, wf := range wfs {
+		for _, id := range wf.Members {
+			a.memberOf[fill[id]] = &a.entities[i]
+			fill[id]++
 		}
 	}
 
@@ -242,7 +264,11 @@ func (a *ASETSStar) Init(set *txn.Set) {
 		return x.wf.ID < y.wf.ID
 	})
 
-	a.readyTxns = make(map[txn.ID]*txn.Transaction)
+	a.ready = a.ready[:0]
+	a.readyPos = make([]int32, set.Len())
+	for i := range a.readyPos {
+		a.readyPos[i] = -1
+	}
 	a.checkedOut = make([]bool, set.Len())
 	a.schedPoints = 0
 	if a.cfg.activation == ActivationTime {
@@ -257,6 +283,36 @@ func (a *ASETSStar) OnArrival(now float64, t *txn.Transaction) {
 	}
 }
 
+// entitiesOf returns the entities whose workflow contains transaction id.
+func (a *ASETSStar) entitiesOf(id txn.ID) []*entity {
+	return a.memberOf[a.memberStart[id]:a.memberStart[id+1]]
+}
+
+// addReady inserts t into the T_old candidate set (a no-op if present).
+func (a *ASETSStar) addReady(t *txn.Transaction) {
+	if a.readyPos[t.ID] >= 0 {
+		return
+	}
+	a.readyPos[t.ID] = int32(len(a.ready))
+	//lint:ignore hotpath-alloc the candidate list grows to the peak ready population during warm-up, then reuses capacity
+	a.ready = append(a.ready, t)
+}
+
+// removeReady deletes t from the T_old candidate set (a no-op if absent) by
+// moving the last candidate into its slot.
+func (a *ASETSStar) removeReady(t *txn.Transaction) {
+	i := a.readyPos[t.ID]
+	if i < 0 {
+		return
+	}
+	last := a.ready[len(a.ready)-1]
+	a.ready[i] = last
+	a.readyPos[last.ID] = i
+	a.ready[len(a.ready)-1] = nil
+	a.ready = a.ready[:len(a.ready)-1]
+	a.readyPos[t.ID] = -1
+}
+
 // available reports whether t can be handed to a server right now: ready
 // per the dependency tracker and not already checked out to another server.
 // With a single server the checked-out transaction is never queried, so
@@ -269,8 +325,8 @@ func (a *ASETSStar) available(t *txn.Transaction) bool {
 // markReady records that t became executable and surfaces its entities into
 // the priority lists.
 func (a *ASETSStar) markReady(now float64, t *txn.Transaction) {
-	a.readyTxns[t.ID] = t
-	for _, e := range a.memberOf[t.ID] {
+	a.addReady(t)
+	for _, e := range a.entitiesOf(t.ID) {
 		e.ready++
 		if !e.enqueued() && !e.wf.Done() {
 			a.enqueue(now, e)
@@ -379,9 +435,9 @@ func (a *ASETSStar) OnPreempt(now float64, t *txn.Transaction) {
 func (a *ASETSStar) OnCompletion(now float64, t *txn.Transaction) {
 	// t was checked out by Next, so its entities' ready counts already
 	// exclude it; only the pending sets and the dependency tracker change.
-	delete(a.readyTxns, t.ID)
-	newly := a.rt.Complete(t)
-	for _, e := range a.memberOf[t.ID] {
+	a.removeReady(t)
+	a.newly = a.rt.Complete(t, a.newly[:0])
+	for _, e := range a.entitiesOf(t.ID) {
 		e.wf.Complete(t.ID)
 		switch {
 		case e.wf.Done() || e.ready == 0:
@@ -390,7 +446,7 @@ func (a *ASETSStar) OnCompletion(now float64, t *txn.Transaction) {
 			a.reposition(now, e)
 		}
 	}
-	for _, r := range newly {
+	for _, r := range a.newly {
 		a.markReady(now, r)
 	}
 }
@@ -414,13 +470,9 @@ func (a *ASETSStar) Next(now float64) *txn.Transaction {
 		return t
 	}
 
-	e := a.pickEntity(now)
-	if e == nil {
-		return nil
-	}
-	head := e.wf.Head(a.available)
+	head := a.pickHead(now)
 	if head == nil {
-		panic(fmt.Sprintf("core: enqueued workflow %d has no ready head (ready=%d)", e.wf.ID, e.ready))
+		return nil
 	}
 	a.checkOut(now, head)
 	return head
@@ -432,8 +484,8 @@ func (a *ASETSStar) Next(now float64) *txn.Transaction {
 // must not be offered to another server).
 func (a *ASETSStar) checkOut(now float64, t *txn.Transaction) {
 	a.checkedOut[t.ID] = true
-	delete(a.readyTxns, t.ID)
-	for _, e := range a.memberOf[t.ID] {
+	a.removeReady(t)
+	for _, e := range a.entitiesOf(t.ID) {
 		e.ready--
 		if e.ready == 0 {
 			a.dequeue(e)
@@ -443,28 +495,35 @@ func (a *ASETSStar) checkOut(now float64, t *txn.Transaction) {
 	}
 }
 
-// pickEntity arbitrates between the tops of the two lists.
-func (a *ASETSStar) pickEntity(now float64) *entity {
+// pickHead arbitrates between the tops of the two lists and returns the
+// winning workflow's head transaction, or nil when both lists are empty.
+func (a *ASETSStar) pickHead(now float64) *txn.Transaction {
 	eTop := a.edf.Peek()
 	hTop := a.hdf.Peek()
 	switch {
 	case eTop == nil && hTop == nil:
 		return nil
 	case hTop == nil:
-		return eTop.Value
+		return a.headOf(eTop.Value)
 	case eTop == nil:
-		return hTop.Value
+		return a.headOf(hTop.Value)
 	}
 	e, h := eTop.Value, hTop.Value
-	headE := e.wf.Head(a.available)
-	headH := h.wf.Head(a.available)
-	if headE == nil || headH == nil {
-		panic("core: enqueued workflow lost its ready head")
-	}
+	headE, headH := a.headOf(e), a.headOf(h)
 	if a.runEDFFirst(now, e, h, headE, headH) {
-		return e
+		return headE
 	}
-	return h
+	return headH
+}
+
+// headOf returns an enqueued entity's head transaction. Enqueued entities
+// have at least one available member, so a missing head is a bookkeeping bug.
+func (a *ASETSStar) headOf(e *entity) *txn.Transaction {
+	head := e.wf.Head(a.available)
+	if head == nil {
+		panic(fmt.Sprintf("core: enqueued workflow %d has no ready head (ready=%d)", e.wf.ID, e.ready))
+	}
+	return head
 }
 
 // runEDFFirst evaluates the configured decision rule: true means the head of
@@ -523,8 +582,7 @@ func (a *ASETSStar) activate(now float64) *txn.Transaction {
 func (a *ASETSStar) oldest() *txn.Transaction {
 	var best *txn.Transaction
 	var bestRatio float64
-	//lint:ignore maprange pure max under a total order (ratio, then ID) — the result is identical for every iteration order
-	for _, t := range a.readyTxns {
+	for _, t := range a.ready {
 		ratio := t.Weight / t.Deadline
 		if best == nil || ratio > bestRatio || (ratio == bestRatio && t.ID < best.ID) {
 			best = t

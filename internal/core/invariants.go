@@ -20,14 +20,17 @@ import (
 //  4. ready counts match the number of available members;
 //  5. both heaps and the expiry heap satisfy their ordering invariants;
 //  6. an entity with at least one available member is enqueued unless its
-//     workflow is done.
+//     workflow is done;
+//  7. the T_old candidate set holds exactly the available transactions
+//     (ready and not checked out), and its position table indexes it.
 //
 //lint:coldpath O(N) audit for tests and the Checked debug wrapper; production runs never call it
 func (a *ASETSStar) CheckInvariants(now float64) error {
 	if !a.edf.Verify() || !a.hdf.Verify() || !a.expiry.Verify() {
 		return fmt.Errorf("core: heap ordering invariant broken at t=%v", now)
 	}
-	for _, e := range a.entities {
+	for i := range a.entities {
+		e := &a.entities[i]
 		avail := 0
 		for _, id := range e.wf.Members {
 			if !e.wf.Contains(id) {
@@ -80,6 +83,33 @@ func (a *ASETSStar) CheckInvariants(now float64) error {
 		if math.IsNaN(e.rep.Deadline) || math.IsNaN(e.rep.Remaining) {
 			return fmt.Errorf("core: workflow %d has NaN representative", e.wf.ID)
 		}
+	}
+	return a.checkReadySet(now)
+}
+
+// checkReadySet audits invariant 7: the T_old candidate list and its
+// position table agree, and they hold exactly the available transactions.
+func (a *ASETSStar) checkReadySet(now float64) error {
+	for i, t := range a.ready {
+		if a.readyPos[t.ID] != int32(i) {
+			return fmt.Errorf("core: T_old candidate T%d at slot %d but indexed at %d",
+				t.ID, i, a.readyPos[t.ID])
+		}
+	}
+	avail := 0
+	for _, t := range a.set.Txns {
+		inSet := a.readyPos[t.ID] >= 0
+		if inSet != a.available(t) {
+			return fmt.Errorf("core: T%d in T_old candidate set = %v, available = %v at t=%v",
+				t.ID, inSet, a.available(t), now)
+		}
+		if inSet {
+			avail++
+		}
+	}
+	if avail != len(a.ready) {
+		return fmt.Errorf("core: T_old candidate list holds %d entries for %d indexed transactions at t=%v",
+			len(a.ready), avail, now)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -27,8 +28,10 @@ func (a *auditingScheduler) Next(now float64) *txn.Transaction {
 var _ sched.Scheduler = (*auditingScheduler)(nil)
 
 // TestInvariantsHoldThroughoutSimulations drives audited ASETS* instances
-// (every variant) through randomized workloads; CheckInvariants runs at
-// every decision point.
+// (every variant) through randomized workloads, on one server and on three;
+// CheckInvariants runs at every decision point. With several servers Next is
+// called repeatedly at one instant, so the checked-out bookkeeping and the
+// T_old candidate set are audited between those calls too.
 func TestInvariantsHoldThroughoutSimulations(t *testing.T) {
 	variants := []func() *ASETSStar{
 		func() *ASETSStar { return New() },
@@ -50,6 +53,10 @@ func TestInvariantsHoldThroughoutSimulations(t *testing.T) {
 			audited := &auditingScheduler{ASETSStar: mk(), t: t}
 			if _, err := simRunForTest(set, audited); err != nil {
 				t.Fatalf("seed %d variant %d: %v", seed, vi, err)
+			}
+			audited = &auditingScheduler{ASETSStar: mk(), t: t}
+			if _, err := sim.New(sim.Config{Servers: 3}).Run(set, audited); err != nil {
+				t.Fatalf("seed %d variant %d, 3 servers: %v", seed, vi, err)
 			}
 		}
 	}
@@ -133,5 +140,20 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	a.entities[1].ready++
 	if err := a.CheckInvariants(0); err == nil {
 		t.Fatal("corrupted ready count not detected")
+	}
+	a.entities[1].ready--
+	// Drop an available transaction from the T_old candidate set.
+	a.removeReady(set.ByID(1))
+	if err := a.CheckInvariants(0); err == nil {
+		t.Fatal("available transaction missing from the T_old candidate set not detected")
+	}
+	a.addReady(set.ByID(1))
+	if err := a.CheckInvariants(0); err != nil {
+		t.Fatalf("restored state flagged: %v", err)
+	}
+	// Point the position table at the wrong slot.
+	a.readyPos[0], a.readyPos[1] = a.readyPos[1], a.readyPos[0]
+	if err := a.CheckInvariants(0); err == nil {
+		t.Fatal("corrupted T_old position table not detected")
 	}
 }

@@ -364,23 +364,22 @@ func (in *Injector) NextRestart() float64 {
 	return in.pending[0].at
 }
 
-// PopDueRestarts removes and returns the transactions whose backoff expired
-// by now, in (restart time, ID) order.
-func (in *Injector) PopDueRestarts(now float64) []*txn.Transaction {
+// PopDueRestarts removes the transactions whose backoff expired by now and
+// appends them to buf in (restart time, ID) order, returning the extended
+// buffer. Callers pass their own reusable buf[:0], so a steady-state event
+// loop allocates nothing here.
+func (in *Injector) PopDueRestarts(now float64, buf []*txn.Transaction) []*txn.Transaction {
 	k := 0
 	for k < len(in.pending) && in.pending[k].at <= now {
 		k++
 	}
-	if k == 0 {
-		return nil
-	}
-	out := make([]*txn.Transaction, k)
 	for i := 0; i < k; i++ {
-		out[i] = in.pending[i].t
+		//lint:ignore hotpath-alloc the caller-owned buffer grows to the largest simultaneous restart batch during warm-up, then reuses capacity
+		buf = append(buf, in.pending[i].t)
 	}
 	in.pending = in.pending[:copy(in.pending, in.pending[k:])]
 	in.restarts += k
-	return out
+	return buf
 }
 
 // DrainHeld removes and returns every transaction waiting out a backoff, in

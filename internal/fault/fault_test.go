@@ -168,10 +168,10 @@ func TestInjectorAbortLifecycle(t *testing.T) {
 	if in.Held() != 1 || in.NextRestart() != 1.5 {
 		t.Fatalf("held=%d next=%v", in.Held(), in.NextRestart())
 	}
-	if got := in.PopDueRestarts(1.4); got != nil {
+	if got := in.PopDueRestarts(1.4, nil); got != nil {
 		t.Fatalf("popped early: %v", got)
 	}
-	got := in.PopDueRestarts(1.5)
+	got := in.PopDueRestarts(1.5, nil)
 	if len(got) != 1 || got[0] != tr {
 		t.Fatalf("PopDueRestarts = %v", got)
 	}
@@ -186,7 +186,7 @@ func TestInjectorAbortLifecycle(t *testing.T) {
 	if at := in.RecordAbort(3.0, tr); at != 4.0 {
 		t.Fatalf("second restart at %v, want 4.0", at)
 	}
-	in.PopDueRestarts(4.0)
+	in.PopDueRestarts(4.0, nil)
 
 	// MaxRestarts reached: the next attempt must commit.
 	if in.AbortsAttempt(tr) {
@@ -206,7 +206,7 @@ func TestInjectorRestartOrdering(t *testing.T) {
 	in.RecordAbort(2, set.Txns[2])
 	in.RecordAbort(2, set.Txns[0])
 	in.RecordAbort(2, set.Txns[1])
-	got := in.PopDueRestarts(2)
+	got := in.PopDueRestarts(2, nil)
 	if len(got) != 3 || got[0].ID != 0 || got[1].ID != 1 || got[2].ID != 2 {
 		t.Fatalf("restart order = %v", got)
 	}
@@ -286,7 +286,7 @@ func TestInjectorDrainHeld(t *testing.T) {
 	if in.Restarts() != 0 {
 		t.Fatalf("drain counted %d restarts, want 0 (failover, not restart)", in.Restarts())
 	}
-	if in.PopDueRestarts(100) != nil {
+	if in.PopDueRestarts(100, nil) != nil {
 		t.Fatal("drained transactions must not restart later")
 	}
 	if in.DrainHeld() != nil {

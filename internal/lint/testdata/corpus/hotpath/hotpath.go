@@ -57,10 +57,11 @@ func work(names []string, x int) int {
 	f := func() int { return x } // want hotpath-alloc
 	sink(x)                      // want hotpath-alloc
 	var xs []int
-	xs = append(xs, x) // want hotpath-alloc
-	ys := make([]int, 0, 8)
-	ys = append(ys, x) // presized: no finding
-	return len(b) + f() + len(xs) + len(ys)
+	xs = append(xs, x)      // want hotpath-alloc
+	ys := make([]int, 0, 8) // want hotpath-alloc
+	ys = append(ys, x)      // presized: no finding
+	p := new(point)         // want hotpath-alloc
+	return len(b) + f() + len(xs) + len(ys) + p.x
 }
 
 // sink's any parameter is what forces the boxing at work's call site.
@@ -92,7 +93,8 @@ func guard(total int) {
 //
 //lint:coldpath
 func finish(total int) {
-	fmt.Println("done", total)
+	parts := make([]int, 0, total) // pruned: no finding
+	fmt.Println("done", total, len(parts))
 }
 
 // Unreachable is never called from the root; its allocations are off-path.

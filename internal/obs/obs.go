@@ -184,6 +184,7 @@ type Event struct {
 // MarshalJSON renders the event as a single flat JSON object with a fixed
 // field order, so serialized streams are byte-stable across runs.
 func (e Event) MarshalJSON() ([]byte, error) {
+	//lint:ignore hotpath-alloc JSONL encoding allocates by design; the hot path reaches it only through JSONLWriter, an offline-capture sink, not benchmark runs
 	b := make([]byte, 0, 128)
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendUint(b, e.Seq, 10)

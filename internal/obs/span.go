@@ -447,8 +447,8 @@ func NewSpanBuilder(set *txn.Set, opts SpanOptions) *SpanBuilder {
 	// Workflow membership, computed as txn.BuildWorkflows assigns it —
 	// workflow i is the dependency closure of Roots()[i], and a transaction's
 	// primary workflow is the lowest-ID one containing it — but as a pruned
-	// DFS straight into the dense wfOf table. BuildWorkflows materializes
-	// per-workflow member slices and pending maps (O(n) allocations the
+	// DFS straight into the dense wfOf table. BuildWorkflows also materializes
+	// every workflow's sorted member list and pending set (which the
 	// scheduler needs and the span layer does not); the pruning is sound
 	// because dependency closures are ancestor-closed: once a node is
 	// claimed, every ancestor of it is already claimed too.

@@ -14,9 +14,16 @@ type Item[T any] struct {
 	owner *Heap[T]
 }
 
-// NewItem wraps v for insertion into a Heap.
-func NewItem[T any](v T) *Item[T] {
-	return &Item[T]{Value: v, index: -1}
+// NewItems returns a slab of n unenqueued items with zero values, backed by
+// one allocation. Callers that hold one item per entity (a transaction, a
+// workflow) set each Value and address the items as &items[i]; the slab
+// never moves, so those pointers stay valid for its lifetime.
+func NewItems[T any](n int) []Item[T] {
+	items := make([]Item[T], n)
+	for i := range items {
+		items[i].index = -1
+	}
+	return items
 }
 
 // InHeap reports whether the item is currently enqueued in any heap.

@@ -12,6 +12,30 @@ func intHeap() *Heap[int] {
 	return NewHeap[int](func(a, b int) bool { return a < b })
 }
 
+// newItem wraps v in a one-item slab for insertion into a Heap.
+func newItem[T any](v T) *Item[T] {
+	it := &NewItems[T](1)[0]
+	it.Value = v
+	return it
+}
+
+func TestNewItemsSlab(t *testing.T) {
+	items := NewItems[int](4)
+	h := intHeap()
+	for i := range items {
+		if items[i].InHeap() || items[i].Owner() != nil {
+			t.Fatalf("slab item %d starts enqueued", i)
+		}
+		items[i].Value = 10 - i
+		h.Push(&items[i])
+	}
+	for want := 7; want <= 10; want++ {
+		if it := h.Pop(); it.Value != want || it.InHeap() {
+			t.Fatalf("Pop = %d (in heap %v), want %d", it.Value, it.InHeap(), want)
+		}
+	}
+}
+
 func TestHeapEmpty(t *testing.T) {
 	h := intHeap()
 	if h.Len() != 0 {
@@ -29,7 +53,7 @@ func TestHeapPushPopSorted(t *testing.T) {
 	h := intHeap()
 	vals := []int{5, 3, 8, 1, 9, 2, 7, 2, 5}
 	for _, v := range vals {
-		h.Push(NewItem(v))
+		h.Push(newItem(v))
 	}
 	if !h.Verify() {
 		t.Fatal("heap invariant broken after pushes")
@@ -53,7 +77,7 @@ func TestHeapRemoveMiddle(t *testing.T) {
 	h := intHeap()
 	items := make([]*Item[int], 0, 10)
 	for _, v := range []int{4, 9, 1, 7, 3, 8, 2, 6, 5, 0} {
-		it := NewItem(v)
+		it := newItem(v)
 		items = append(items, it)
 		h.Push(it)
 	}
@@ -78,7 +102,7 @@ func TestHeapFixAfterMutation(t *testing.T) {
 	type job struct{ key int }
 	h := NewHeap[*job](func(a, b *job) bool { return a.key < b.key })
 	a, b, c := &job{5}, &job{10}, &job{15}
-	ia, ib, ic := NewItem(a), NewItem(b), NewItem(c)
+	ia, ib, ic := newItem(a), newItem(b), newItem(c)
 	h.Push(ia)
 	h.Push(ib)
 	h.Push(ic)
@@ -102,7 +126,7 @@ func TestHeapFixAfterMutation(t *testing.T) {
 
 func TestHeapPushDuplicatePanics(t *testing.T) {
 	h := intHeap()
-	it := NewItem(1)
+	it := newItem(1)
 	h.Push(it)
 	defer expectPanic(t, "double Push")
 	h.Push(it)
@@ -110,7 +134,7 @@ func TestHeapPushDuplicatePanics(t *testing.T) {
 
 func TestHeapRemoveForeignPanics(t *testing.T) {
 	h1, h2 := intHeap(), intHeap()
-	it := NewItem(1)
+	it := newItem(1)
 	h1.Push(it)
 	defer expectPanic(t, "Remove from wrong heap")
 	h2.Remove(it)
@@ -119,7 +143,7 @@ func TestHeapRemoveForeignPanics(t *testing.T) {
 func TestHeapFixUnqueuedPanics(t *testing.T) {
 	h := intHeap()
 	defer expectPanic(t, "Fix of unqueued item")
-	h.Fix(NewItem(1))
+	h.Fix(newItem(1))
 }
 
 func TestHeapNilLessPanics(t *testing.T) {
@@ -129,7 +153,7 @@ func TestHeapNilLessPanics(t *testing.T) {
 
 func TestHeapOwnerTracking(t *testing.T) {
 	h := intHeap()
-	it := NewItem(42)
+	it := newItem(42)
 	if it.Owner() != nil {
 		t.Fatal("fresh item has an owner")
 	}
@@ -152,7 +176,7 @@ func TestHeapRandomOperations(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		switch op := src.Intn(10); {
 		case op < 5 || len(live) == 0: // push
-			it := NewItem(src.Intn(1000))
+			it := newItem(src.Intn(1000))
 			h.Push(it)
 			live = append(live, it)
 		case op < 7: // pop minimum
@@ -201,7 +225,7 @@ func TestQuickHeapSortsAnything(t *testing.T) {
 	f := func(vals []int) bool {
 		h := intHeap()
 		for _, v := range vals {
-			h.Push(NewItem(v))
+			h.Push(newItem(v))
 		}
 		out := make([]int, 0, len(vals))
 		for h.Len() > 0 {

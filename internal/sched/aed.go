@@ -25,11 +25,12 @@ type aed struct {
 	set *txn.Set
 	src *rng.Source
 
-	key     []float64 // random priority key per transaction
-	inHIT   []bool    // group membership at checkout time
-	ready   []txn.ID  // ready transactions sorted by key
-	cap     int       // HIT group capacity
-	hitObs  float64   // EWMA of HIT-group deadline hits
+	key     []float64          // random priority key per transaction
+	inHIT   []bool             // group membership at checkout time
+	ready   []txn.ID           // ready transactions sorted by key
+	newly   []*txn.Transaction // ReadyTracker.Complete buffer
+	cap     int                // HIT group capacity
+	hitObs  float64            // EWMA of HIT-group deadline hits
 	hitSeen bool
 }
 
@@ -140,7 +141,8 @@ func (a *aed) OnCompletion(now float64, t *txn.Transaction) {
 		}
 		a.cap = next
 	}
-	for _, r := range a.rt.Complete(t) {
+	a.newly = a.rt.Complete(t, a.newly[:0])
+	for _, r := range a.newly {
 		a.insert(r.ID)
 	}
 }

@@ -25,7 +25,8 @@ type priorityPolicy struct {
 	less  Less
 	rt    *ReadyTracker
 	heap  *pq.Heap[*txn.Transaction]
-	items []*pq.Item[*txn.Transaction]
+	items []pq.Item[*txn.Transaction] // one slab, indexed by transaction ID
+	newly []*txn.Transaction          // ReadyTracker.Complete buffer
 }
 
 // NewPriorityPolicy builds a preemptive priority scheduler with the given
@@ -44,15 +45,15 @@ func (p *priorityPolicy) Name() string { return p.name }
 func (p *priorityPolicy) Init(set *txn.Set) {
 	p.rt = NewReadyTracker(set)
 	p.heap = pq.NewHeap[*txn.Transaction](p.less)
-	p.items = make([]*pq.Item[*txn.Transaction], set.Len())
+	p.items = pq.NewItems[*txn.Transaction](set.Len())
 	for _, t := range set.Txns {
-		p.items[t.ID] = pq.NewItem(t)
+		p.items[t.ID].Value = t
 	}
 }
 
 func (p *priorityPolicy) OnArrival(now float64, t *txn.Transaction) {
 	if p.rt.Arrive(t) {
-		p.heap.Push(p.items[t.ID])
+		p.heap.Push(&p.items[t.ID])
 	}
 }
 
@@ -65,12 +66,13 @@ func (p *priorityPolicy) Next(now float64) *txn.Transaction {
 }
 
 func (p *priorityPolicy) OnPreempt(now float64, t *txn.Transaction) {
-	p.heap.Push(p.items[t.ID])
+	p.heap.Push(&p.items[t.ID])
 }
 
 func (p *priorityPolicy) OnCompletion(now float64, t *txn.Transaction) {
-	for _, r := range p.rt.Complete(t) {
-		p.heap.Push(p.items[r.ID])
+	p.newly = p.rt.Complete(t, p.newly[:0])
+	for _, r := range p.newly {
+		p.heap.Push(&p.items[r.ID])
 	}
 }
 

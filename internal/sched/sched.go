@@ -75,19 +75,21 @@ func (rt *ReadyTracker) Arrive(t *txn.Transaction) bool {
 	return rt.unfinished[t.ID] == 0
 }
 
-// Complete records the completion of t and returns the transactions that
-// became ready as a result: dependents whose last outstanding dependency was
-// t and that have already arrived.
-func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
+// Complete records the completion of t and appends to buf the transactions
+// that became ready as a result: dependents whose last outstanding
+// dependency was t and that have already arrived. It returns the extended
+// buffer; callers pass their own reusable buf[:0], so a steady-state
+// completion allocates nothing.
+func (rt *ReadyTracker) Complete(t *txn.Transaction, buf []*txn.Transaction) []*txn.Transaction {
 	rt.finished[t.ID] = true
-	newly := make([]*txn.Transaction, 0, len(rt.set.Dependents[t.ID]))
 	for _, depID := range rt.set.Dependents[t.ID] {
 		rt.unfinished[depID]--
 		if rt.unfinished[depID] == 0 && rt.arrived[depID] && !rt.finished[depID] {
-			newly = append(newly, rt.set.ByID(depID))
+			//lint:ignore hotpath-alloc the caller-owned buffer grows to the largest dependent fan-out during warm-up, then reuses capacity
+			buf = append(buf, rt.set.ByID(depID))
 		}
 	}
-	return newly
+	return buf
 }
 
 // Ready reports whether t can execute right now.

@@ -56,14 +56,14 @@ func TestReadyTrackerDependencyChain(t *testing.T) {
 	if rt.Ready(s.ByID(1)) || rt.Ready(s.ByID(2)) {
 		t.Fatal("dependent transactions ready before dependency completion")
 	}
-	newly := rt.Complete(s.ByID(0))
+	newly := rt.Complete(s.ByID(0), nil)
 	if len(newly) != 1 || newly[0].ID != 1 {
 		t.Fatalf("newly ready after T0 = %v, want [T1]", newly)
 	}
 	if rt.Ready(s.ByID(2)) {
 		t.Fatal("T2 ready before T1 finished")
 	}
-	newly = rt.Complete(s.ByID(1))
+	newly = rt.Complete(s.ByID(1), newly[:0])
 	if len(newly) != 1 || newly[0].ID != 2 {
 		t.Fatalf("newly ready after T1 = %v, want [T2]", newly)
 	}
@@ -75,7 +75,7 @@ func TestReadyTrackerLateArrival(t *testing.T) {
 	s := mustSet(t, mk(0, 0, 10, 1), mk(1, 5, 15, 1, 0))
 	rt := NewReadyTracker(s)
 	rt.Arrive(s.ByID(0))
-	if newly := rt.Complete(s.ByID(0)); len(newly) != 0 {
+	if newly := rt.Complete(s.ByID(0), nil); len(newly) != 0 {
 		t.Fatalf("unarrived dependent surfaced at completion: %v", newly)
 	}
 	if !rt.Arrive(s.ByID(1)) {
@@ -93,10 +93,10 @@ func TestReadyTrackerMultipleDeps(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rt.Arrive(s.ByID(txn.ID(i)))
 	}
-	if newly := rt.Complete(s.ByID(0)); len(newly) != 0 {
+	if newly := rt.Complete(s.ByID(0), nil); len(newly) != 0 {
 		t.Fatal("T2 surfaced with one of two deps outstanding")
 	}
-	if newly := rt.Complete(s.ByID(1)); len(newly) != 1 || newly[0].ID != 2 {
+	if newly := rt.Complete(s.ByID(1), nil); len(newly) != 1 || newly[0].ID != 2 {
 		t.Fatal("T2 did not surface when its last dep finished")
 	}
 }
@@ -105,7 +105,7 @@ func TestReadyTrackerFinished(t *testing.T) {
 	s := mustSet(t, mk(0, 0, 10, 1))
 	rt := NewReadyTracker(s)
 	rt.Arrive(s.ByID(0))
-	rt.Complete(s.ByID(0))
+	rt.Complete(s.ByID(0), nil)
 	if rt.Ready(s.ByID(0)) {
 		t.Fatal("finished transaction reported ready")
 	}

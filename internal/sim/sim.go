@@ -377,6 +377,7 @@ type loop struct {
 	next  int
 
 	running  []*txn.Transaction
+	restarts []*txn.Transaction // Injector.PopDueRestarts buffer
 	done     int
 	shed     int
 	misses   int
@@ -679,7 +680,8 @@ func (l *loop) deliverRestarts(upTo float64) {
 	if l.inj == nil {
 		return
 	}
-	for _, t := range l.inj.PopDueRestarts(upTo) {
+	l.restarts = l.inj.PopDueRestarts(upTo, l.restarts[:0])
+	for _, t := range l.restarts {
 		l.frec.Restart(upTo, t)
 		l.s.OnPreempt(upTo, t)
 	}

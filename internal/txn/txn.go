@@ -324,7 +324,13 @@ func (s *Set) Roots() []ID {
 			isDep[d] = true
 		}
 	}
-	var roots []ID
+	n := 0
+	for _, used := range isDep {
+		if !used {
+			n++
+		}
+	}
+	roots := make([]ID, 0, n)
 	for i, used := range isDep {
 		if !used {
 			roots = append(roots, ID(i))

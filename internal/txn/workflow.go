@@ -3,7 +3,7 @@ package txn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Workflow is the scheduling entity of the workflow-level ASETS* policy: the
@@ -25,7 +25,11 @@ type Workflow struct {
 	// Members lists all transactions in the closure, sorted by ID.
 	Members []ID
 
-	pending map[ID]*Transaction
+	// pending holds the unfinished members in no particular order: Complete
+	// swap-removes, and every reader is order-independent (min/max
+	// reductions and a strict-total-order head selection). Its capacity is
+	// exactly len(Members), so Reset refills it without allocating.
+	pending []*Transaction
 }
 
 // Representative captures Definition 9's virtual transaction for one
@@ -64,22 +68,54 @@ func (r Representative) Density() float64 {
 // one workflow per root, containing the root's dependency closure. Workflows
 // are returned sorted by root ID and initialized with all members pending.
 //
+// Each closure equals s.Closure(root) but is collected by a DFS that marks
+// visited transactions in one stamp array instead of a per-root map, and the
+// workflows, their member lists and their pending sets are carved out of one
+// slab each, so the allocation count does not grow with the set.
+//
 //lint:coldpath workflow construction is per-run setup (scheduler Init)
 func BuildWorkflows(s *Set) []*Workflow {
 	roots := s.Roots()
-	wfs := make([]*Workflow, 0, len(roots))
+	// stamp[id] == i+1 marks id as already collected into workflow i.
+	stamp := make([]int32, s.Len())
+	stack := make([]ID, 0, 64)
+	// Every transaction lies in at least one closure, so s.Len() is a lower
+	// bound on the total member count (exact without shared members).
+	members := make([]ID, 0, s.Len())
+	ends := make([]int, len(roots))
 	for i, root := range roots {
-		members := s.Closure(root)
-		wf := &Workflow{
-			ID:      i,
-			Root:    root,
-			Members: members,
-			pending: make(map[ID]*Transaction, len(members)),
+		mark := int32(i + 1)
+		stamp[root] = mark
+		members = append(members, root)
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, d := range s.Txns[cur].Deps {
+				if stamp[d] != mark {
+					stamp[d] = mark
+					members = append(members, d)
+					stack = append(stack, d)
+				}
+			}
 		}
-		for _, id := range members {
-			wf.pending[id] = s.ByID(id)
+		ends[i] = len(members)
+	}
+	pending := make([]*Transaction, len(members))
+	slab := make([]Workflow, len(roots))
+	wfs := make([]*Workflow, len(roots))
+	start := 0
+	for i, root := range roots {
+		end := ends[i]
+		ids := members[start:end:end]
+		slices.Sort(ids)
+		pend := pending[start:end:end]
+		for j, id := range ids {
+			pend[j] = s.ByID(id)
 		}
-		wfs = append(wfs, wf)
+		slab[i] = Workflow{ID: i, Root: root, Members: ids, pending: pend}
+		wfs[i] = &slab[i]
+		start = end
 	}
 	return wfs
 }
@@ -95,14 +131,16 @@ func BuildWorkflows(s *Set) []*Workflow {
 //
 //lint:coldpath workflow construction is per-run setup (scheduler Init)
 func SingletonWorkflows(s *Set) []*Workflow {
-	wfs := make([]*Workflow, s.Len())
+	n := s.Len()
+	ids := make([]ID, n)
+	pending := make([]*Transaction, n)
+	slab := make([]Workflow, n)
+	wfs := make([]*Workflow, n)
 	for i, t := range s.Txns {
-		wfs[i] = &Workflow{
-			ID:      i,
-			Root:    t.ID,
-			Members: []ID{t.ID},
-			pending: map[ID]*Transaction{t.ID: t},
-		}
+		ids[i] = t.ID
+		pending[i] = t
+		slab[i] = Workflow{ID: i, Root: t.ID, Members: ids[i : i+1 : i+1], pending: pending[i : i+1 : i+1]}
+		wfs[i] = &slab[i]
 	}
 	return wfs
 }
@@ -114,18 +152,30 @@ func (w *Workflow) Pending() int { return len(w.pending) }
 func (w *Workflow) Done() bool { return len(w.pending) == 0 }
 
 // Contains reports whether id is still pending in this workflow.
-func (w *Workflow) Contains(id ID) bool {
-	_, ok := w.pending[id]
-	return ok
+func (w *Workflow) Contains(id ID) bool { return w.pendingIndex(id) >= 0 }
+
+// pendingIndex returns id's position in the pending set, or -1.
+func (w *Workflow) pendingIndex(id ID) int {
+	for i, t := range w.pending {
+		if t.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
-// Complete removes a finished member. It returns true when the transaction
-// was a pending member of this workflow.
+// Complete removes a finished member in O(m), swapping the last pending
+// member into its slot. It returns true when the transaction was a pending
+// member of this workflow.
 func (w *Workflow) Complete(id ID) bool {
-	if _, ok := w.pending[id]; !ok {
+	i := w.pendingIndex(id)
+	if i < 0 {
 		return false
 	}
-	delete(w.pending, id)
+	last := len(w.pending) - 1
+	w.pending[i] = w.pending[last]
+	w.pending[last] = nil
+	w.pending = w.pending[:last]
 	return true
 }
 
@@ -154,7 +204,6 @@ func (w *Workflow) RepresentativeExcluding(exclude ID) Representative {
 		Weight:    math.Inf(-1),
 	}
 	found := false
-	//lint:ignore maprange per-field min/max reduction is commutative; iteration order cannot change the result
 	for _, t := range w.pending {
 		if t.ID == exclude {
 			continue
@@ -190,7 +239,6 @@ func (w *Workflow) RepresentativeExcluding(exclude ID) Representative {
 // state, not only on this workflow's members.
 func (w *Workflow) Head(ready func(*Transaction) bool) *Transaction {
 	var best *Transaction
-	//lint:ignore maprange headBefore is a strict total order with an ID tie-break, so the min is iteration-order independent
 	for _, t := range w.pending {
 		if !ready(t) {
 			continue
@@ -219,20 +267,19 @@ func headBefore(a, b *Transaction) bool {
 // PendingIDs returns the pending member IDs sorted ascending (for tests and
 // deterministic rendering).
 func (w *Workflow) PendingIDs() []ID {
-	out := make([]ID, 0, len(w.pending))
-	//lint:ignore maprange collected IDs are sorted immediately below
-	for id := range w.pending {
-		out = append(out, id)
+	out := make([]ID, len(w.pending))
+	for i, t := range w.pending {
+		out[i] = t.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Reset restores all members to pending (used when replaying a workload).
 func (w *Workflow) Reset(s *Set) {
-	w.pending = make(map[ID]*Transaction, len(w.Members))
+	w.pending = w.pending[:0]
 	for _, id := range w.Members {
-		w.pending[id] = s.ByID(id)
+		w.pending = append(w.pending, s.ByID(id))
 	}
 }
 

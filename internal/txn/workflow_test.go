@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -196,6 +197,14 @@ func TestWorkflowReset(t *testing.T) {
 	if wf.Pending() != 3 {
 		t.Fatalf("pending after reset = %d", wf.Pending())
 	}
+	if got := wf.PendingIDs(); !slices.Equal(got, wf.Members) {
+		t.Fatalf("PendingIDs after reset = %v, want every member %v", got, wf.Members)
+	}
+	for _, id := range wf.Members {
+		if !wf.Contains(id) {
+			t.Fatalf("member T%d not pending after reset", id)
+		}
+	}
 }
 
 func TestPendingIDsSorted(t *testing.T) {
@@ -207,6 +216,56 @@ func TestPendingIDsSorted(t *testing.T) {
 		if ids[i] != want[i] {
 			t.Fatalf("PendingIDs = %v", ids)
 		}
+	}
+}
+
+// fanInSet builds one workflow: root T5 depends directly on T0..T4.
+func fanInSet(t *testing.T) *Set {
+	t.Helper()
+	txns := make([]*Transaction, 0, 6)
+	for i := 0; i < 5; i++ {
+		txns = append(txns, mk(i, 0, 10, 1))
+	}
+	return mustSet(t, append(txns, mk(5, 0, 10, 1, 0, 1, 2, 3, 4))...)
+}
+
+func TestPendingSetComplete(t *testing.T) {
+	s := chainSet(t)
+	wf := BuildWorkflows(s)[0] // members T0, T1, T2
+	if wf.Complete(3) {
+		t.Fatal("Complete of a non-member returned true")
+	}
+	if wf.Pending() != 3 {
+		t.Fatalf("pending after non-member Complete = %d, want 3", wf.Pending())
+	}
+	if !wf.Complete(0) {
+		t.Fatal("Complete of a pending member returned false")
+	}
+	if wf.Contains(0) {
+		t.Fatal("Contains(0) true after Complete(0)")
+	}
+	if wf.Complete(0) {
+		t.Fatal("second Complete of the same member returned true")
+	}
+	if wf.Pending() != 2 || !wf.Contains(1) || !wf.Contains(2) {
+		t.Fatalf("pending after Complete(0) = %v, want [1 2]", wf.PendingIDs())
+	}
+}
+
+func TestPendingIDsSortedAfterOutOfOrderCompletions(t *testing.T) {
+	s := fanInSet(t)
+	wf := BuildWorkflows(s)[0]
+	for _, id := range []ID{3, 0, 5} {
+		if !wf.Complete(id) {
+			t.Fatalf("Complete(%d) returned false", id)
+		}
+	}
+	if got, want := wf.PendingIDs(), []ID{1, 2, 4}; !slices.Equal(got, want) {
+		t.Fatalf("PendingIDs = %v, want %v", got, want)
+	}
+	wf.Reset(s)
+	if got := wf.PendingIDs(); !slices.Equal(got, wf.Members) {
+		t.Fatalf("PendingIDs after reset = %v, want %v", got, wf.Members)
 	}
 }
 

@@ -36,6 +36,9 @@ else
     go test -race ./...
 fi
 
+echo "== root scheduler benchmarks, one iteration each (panic smoke test)"
+go test -run '^$' -bench 'Scheduler' -benchtime 1x .
+
 echo "== benchmark smoke test (live vs sim.Run digests, exactly-once completions)"
 (cd perfbench && go test .)
 
