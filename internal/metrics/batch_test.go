@@ -70,27 +70,3 @@ func TestHistogramPow2Buckets(t *testing.T) {
 		}
 	}
 }
-
-// TestSketchAddBatchMatchesSequential mirrors the histogram bit-identity
-// requirement for the quantile sketch, whose batched inserts back the
-// windowed per-cell flush.
-func TestSketchAddBatchMatchesSequential(t *testing.T) {
-	vs := batchValues()
-	one, batch := NewSketch(0.01), NewSketch(0.01)
-	for _, v := range vs {
-		one.Add(v)
-	}
-	batch.AddBatch(vs)
-	if one.N() != batch.N() || one.Max() != batch.Max() {
-		t.Fatalf("n/max diverge: %d/%v vs %d/%v", one.N(), one.Max(), batch.N(), batch.Max())
-	}
-	if math.Float64bits(one.Sum()) != math.Float64bits(batch.Sum()) {
-		t.Fatalf("sums not bit-identical: %x vs %x",
-			math.Float64bits(one.Sum()), math.Float64bits(batch.Sum()))
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
-		if a, b := one.Quantile(q), batch.Quantile(q); a != b {
-			t.Fatalf("q%.2f diverges: %v vs %v", q, a, b)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Sketch is a deterministic quantile sketch with fixed geometric bucket
@@ -20,12 +21,25 @@ type Sketch struct {
 	gamma    float64
 	logGamma float64
 	zero     int64
-	lo       int // bucket index of buckets[0]; meaningful when len(buckets) > 0
-	buckets  []int64
+	buckets  []sketchBucket // non-empty buckets, ascending by idx
 	n        int64
 	sum      float64
 	max      float64
 }
+
+// sketchBucket is one non-empty bucket of a Sketch: its index and count.
+// The sketch stores only these pairs (the sparse store of DDSketch), so a
+// sketch that sees a handful of values spread over many decades costs a
+// handful of pairs rather than a dense array spanning the whole range.
+type sketchBucket struct {
+	idx int32
+	n   int64
+}
+
+// sketchMinBuckets is the capacity of a sketch's first bucket allocation:
+// enough for the few distinct buckets a short-lived windowed sketch sees,
+// so most of them allocate exactly once.
+const sketchMinBuckets = 16
 
 // sketchIndexBound clamps bucket indices: with alpha = 0.01 the bound covers
 // values from roughly 1e-17 to 1e+17. Observations beyond it collapse into
@@ -61,24 +75,26 @@ func (s *Sketch) Add(v float64) {
 		return
 	}
 	idx := s.index(v)
-	if idx < s.lo || idx >= s.lo+len(s.buckets) {
-		s.extend(idx)
+	// Binary search for the first bucket at or above idx.
+	lo, hi := 0, len(s.buckets)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.buckets[mid].idx < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	s.buckets[idx-s.lo]++
-}
-
-// AddBatch records every observation in vs, in slice order. It is exactly
-// equivalent to calling Add on each value — the running sum is the same
-// left-fold — and exists as the flush target for batched observers.
-func (s *Sketch) AddBatch(vs []float64) {
-	for _, v := range vs {
-		s.Add(v)
+	if lo < len(s.buckets) && s.buckets[lo].idx == idx {
+		s.buckets[lo].n++
+		return
 	}
+	s.insert(lo, idx)
 }
 
 // index maps a positive value to its bucket: the smallest i with
 // gamma^i >= v, clamped to the indexable range.
-func (s *Sketch) index(v float64) int {
+func (s *Sketch) index(v float64) int32 {
 	idx := int(math.Ceil(math.Log(v) / s.logGamma))
 	if idx < -sketchIndexBound {
 		idx = -sketchIndexBound
@@ -86,45 +102,42 @@ func (s *Sketch) index(v float64) int {
 	if idx > sketchIndexBound {
 		idx = sketchIndexBound
 	}
-	return idx
+	return int32(idx)
 }
 
-// extend reshapes the dense backing array so bucket idx is addressable:
-// seeding on first use, padding downward, or growing upward. This is
-// warm-up-only work — once the array covers the data's dynamic range, Add
-// never calls it again, which is what keeps the steady-state observation
-// path allocation-free.
+// insert opens bucket idx with a count of one at position at, keeping the
+// pairs sorted. It is the only place the sketch allocates: a sketch reaches
+// it once per distinct bucket, and after Reset the kept capacity absorbs
+// the next window's buckets without allocating.
 //
-//lint:coldpath bucket-range extension runs only until the array covers [lo, hi]; steady-state Add never reaches it
-func (s *Sketch) extend(idx int) {
-	if len(s.buckets) == 0 {
-		s.lo = idx
-		s.buckets = append(s.buckets, 0)
-		return
+//lint:coldpath a bucket is opened once per distinct index; steady-state Add into an existing bucket never reaches it
+func (s *Sketch) insert(at int, idx int32) {
+	if len(s.buckets) == cap(s.buckets) {
+		grown := make([]sketchBucket, len(s.buckets), max(sketchMinBuckets, 2*cap(s.buckets)))
+		copy(grown, s.buckets)
+		s.buckets = grown
 	}
-	if idx < s.lo {
-		pad := make([]int64, s.lo-idx)
-		s.buckets = append(pad, s.buckets...)
-		s.lo = idx
-	}
-	for idx >= s.lo+len(s.buckets) {
-		s.buckets = append(s.buckets, 0)
-	}
+	s.buckets = s.buckets[:len(s.buckets)+1]
+	copy(s.buckets[at+1:], s.buckets[at:])
+	s.buckets[at] = sketchBucket{idx: idx, n: 1}
 }
 
-// Reset clears the sketch's counts, sum and maximum while keeping the bucket
-// array (and its covered index range) allocated, so a tumbling-window
-// observer can reuse one sketch per window without re-extending: after the
-// first few windows warm the array, the steady-state observe path never
-// allocates again.
+// Reset clears the sketch's counts, sum and maximum. The bucket slice is
+// truncated, not freed, so a tumbling-window observer can reuse one sketch
+// per window: once the kept capacity covers a window's distinct buckets, the
+// observe path never allocates again.
 func (s *Sketch) Reset() {
 	s.zero = 0
 	s.n = 0
 	s.sum = 0
 	s.max = 0
-	for i := range s.buckets {
-		s.buckets[i] = 0
-	}
+	s.buckets = s.buckets[:0]
+}
+
+// RetainedBytes is the memory the sketch's bucket store pins: its capacity,
+// not just the buckets in use.
+func (s *Sketch) RetainedBytes() int {
+	return cap(s.buckets) * int(unsafe.Sizeof(sketchBucket{}))
 }
 
 // N returns the number of observations.
@@ -154,15 +167,15 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if acc >= target {
 		return 0
 	}
-	for i, c := range s.buckets {
-		acc += c
+	for _, b := range s.buckets {
+		acc += b.n
 		if acc >= target {
-			if s.lo+i >= sketchIndexBound {
+			if b.idx >= sketchIndexBound {
 				// Observations clamped into the top bucket may exceed its
 				// nominal edge; the exact maximum is the honest bound.
 				return s.max
 			}
-			edge := math.Pow(s.gamma, float64(s.lo+i))
+			edge := math.Pow(s.gamma, float64(b.idx))
 			if edge > s.max {
 				// The top bucket's edge can overshoot the data; the true
 				// quantile never exceeds the exact maximum.

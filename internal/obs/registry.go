@@ -75,42 +75,6 @@ func (h *Histogram) snapshot() HistogramValue {
 	}
 }
 
-// Sketch is a registry handle around metrics.Sketch: the fixed-boundary
-// quantile sketch behind the span layer's windowed percentiles, guarded by a
-// mutex so the simulation goroutine can observe while HTTP handlers snapshot.
-type Sketch struct {
-	mu sync.Mutex
-	s  *metrics.Sketch // guarded by mu
-}
-
-// ObserveBatch records a batch of observations in slice order under one lock
-// acquisition — the flush path of the span layer's insert buffers. The
-// sketch state afterwards is bit-identical to adding each value in turn.
-func (s *Sketch) ObserveBatch(vs []float64) {
-	s.mu.Lock()
-	s.s.AddBatch(vs)
-	s.mu.Unlock()
-}
-
-// sketchQuantiles are the percentiles every sketch snapshot reports — the
-// SLA trio the paper's tardiness analysis and the windowed exports use.
-var sketchQuantiles = []float64{0.5, 0.95, 0.99}
-
-// snapshot copies the sketch state under the lock.
-func (s *Sketch) snapshot() SketchValue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sv := SketchValue{
-		Count: s.s.N(),
-		Sum:   s.s.Sum(),
-		Max:   s.s.Max(),
-	}
-	for _, q := range sketchQuantiles {
-		sv.Quantiles = append(sv.Quantiles, QuantileValue{Q: q, Value: s.s.Quantile(q)})
-	}
-	return sv
-}
-
 // Registry holds the named metrics of one run. Handles are created once
 // (get-or-create, so independent instrumentation sites can share a metric
 // by name) and updated lock-free on the hot path; Snapshot produces a
@@ -120,19 +84,22 @@ type Registry struct {
 	counters map[string]*Counter   // guarded by mu
 	gauges   map[string]*Gauge     // guarded by mu
 	hists    map[string]*Histogram // guarded by mu
-	sketches map[string]*Sketch    // guarded by mu
 	help     map[string]string     // guarded by mu
 	names    []string              // registration-complete name list, sorted lazily; guarded by mu
+	// sketchBases are the base names the span sketch stores export under;
+	// stores are those stores, in registration order.
+	sketchBases map[string]bool // guarded by mu
+	stores      []*sketchStore  // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		sketches: make(map[string]*Sketch),
-		help:     make(map[string]string),
+		counters:    make(map[string]*Counter),
+		gauges:      make(map[string]*Gauge),
+		hists:       make(map[string]*Histogram),
+		help:        make(map[string]string),
+		sketchBases: make(map[string]bool),
 	}
 }
 
@@ -163,8 +130,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
-	_, s := r.sketches[name]
-	r.register(name, help, g || h || s)
+	r.register(name, help, g || h || r.sketchBases[name])
 	c := &Counter{}
 	r.counters[name] = c
 	return c
@@ -181,8 +147,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}
 	_, c := r.counters[name]
 	_, h := r.hists[name]
-	_, s := r.sketches[name]
-	r.register(name, help, c || h || s)
+	r.register(name, help, c || h || r.sketchBases[name])
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -200,33 +165,32 @@ func (r *Registry) Histogram(name, help string, base float64) *Histogram {
 	}
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
-	_, s := r.sketches[name]
-	r.register(name, help, c || g || s)
+	r.register(name, help, c || g || r.sketchBases[name])
 	h := &Histogram{h: metrics.NewHistogram(base)}
 	r.hists[name] = h
 	return h
 }
 
-// Sketch returns the quantile sketch registered under name, creating it with
-// the given relative accuracy alpha on first use. Name may carry a Prometheus
-// label set (`asets_window_tardiness{window="0003",class="heavy"}`) — the
-// exporter splits base name and labels apart, which is how the span layer
-// encodes one sketch per (window, class, mode) cell.
+// addSketchStore registers a span sketch store, whose sketches export under
+// the given base names (plain or with a `{...}` label block appended). A
+// store registers once, at wiring time; Snapshot then asks it for its
+// sketches. A base name already taken by another metric or store panics,
+// like any cross-type reuse.
 //
-//lint:coldpath sketch cells register lazily but rarely (once per window/class/mode); hot code holds the handle
-func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
+//lint:coldpath sketch stores register once per SpanBuilder, at wiring time
+func (r *Registry) addSketchStore(st *sketchStore, bases []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.sketches[name]; ok {
-		return s
+	for _, name := range bases {
+		_, c := r.counters[name]
+		_, g := r.gauges[name]
+		_, h := r.hists[name]
+		if c || g || h || r.sketchBases[name] {
+			panic(fmt.Sprintf("obs: metric name %q already registered", name))
+		}
+		r.sketchBases[name] = true
 	}
-	_, c := r.counters[name]
-	_, g := r.gauges[name]
-	_, h := r.hists[name]
-	r.register(name, help, c || g || h)
-	s := &Sketch{s: metrics.NewSketch(alpha)}
-	r.sketches[name] = s
-	return s
+	r.stores = append(r.stores, st)
 }
 
 // CounterValue is one counter in a snapshot.
@@ -299,13 +263,14 @@ func (r *Registry) Snapshot() Snapshot {
 			hv := h.snapshot()
 			hv.Name, hv.Help = name, help
 			snap.Histograms = append(snap.Histograms, hv)
-		} else if s, ok := r.sketches[name]; ok {
-			sv := s.snapshot()
-			sv.Name, sv.Help = name, help
-			snap.Sketches = append(snap.Sketches, sv)
 		}
 	}
+	stores := r.stores
 	r.mu.Unlock()
+	for _, st := range stores {
+		snap.Sketches = st.appendSketches(snap.Sketches)
+	}
+	sort.Slice(snap.Sketches, func(i, j int) bool { return snap.Sketches[i].Name < snap.Sketches[j].Name })
 	return snap
 }
 

@@ -5,57 +5,86 @@ import (
 	"testing"
 )
 
-func TestRegistrySketchHandle(t *testing.T) {
+// TestRegistrySketchSource: a span builder's sketch store registers with the
+// registry once, and the registry snapshot carries its run-total sketches
+// with the standard quantile trio.
+func TestRegistrySketchSource(t *testing.T) {
 	r := NewRegistry()
-	s := r.Sketch("asets_test_sketch", "help", 0.01)
-	if r.Sketch("asets_test_sketch", "help", 0.01) != s {
-		t.Fatal("second registration returned a different handle")
+	b := NewSpanBuilder(spanTestSet(t), SpanOptions{Metrics: r})
+	if snap := r.Snapshot(); len(snap.Sketches) != 0 {
+		t.Fatalf("sketches exported before any completion: %+v", snap.Sketches)
 	}
-	s.ObserveBatch([]float64{0, 2, 4})
+	windowEvents(b, 0, 0, 0) // response 0
+	windowEvents(b, 2, 2, 4) // response 2
+	windowEvents(b, 3, 3, 7) // response 4
 	snap := r.Snapshot()
-	if len(snap.Sketches) != 1 {
-		t.Fatalf("snapshot has %d sketches, want 1", len(snap.Sketches))
+	if len(snap.Sketches) != 3 {
+		t.Fatalf("snapshot has %d sketches, want the 3 run totals", len(snap.Sketches))
+	}
+	for i, name := range []string{MetricSpanResponse, MetricSpanSlowdown, MetricSpanTardiness} {
+		if snap.Sketches[i].Name != name {
+			t.Fatalf("sketch %d is %q, want %q (name order)", i, snap.Sketches[i].Name, name)
+		}
 	}
 	sv := snap.Sketches[0]
-	if sv.Name != "asets_test_sketch" || sv.Count != 3 || sv.Sum != 6 || sv.Max != 4 {
-		t.Fatalf("snapshot %+v", sv)
+	if sv.Count != 3 || sv.Sum != 6 || sv.Max != 4 {
+		t.Fatalf("response snapshot %+v", sv)
 	}
 	if len(sv.Quantiles) != 3 || sv.Quantiles[0].Q != 0.5 || sv.Quantiles[2].Q != 0.99 {
 		t.Fatalf("quantiles %+v", sv.Quantiles)
 	}
 }
 
+// TestRegistrySketchTypeConflict: a sketch family whose base name another
+// metric (or another sketch source) already holds panics at registration.
 func TestRegistrySketchTypeConflict(t *testing.T) {
+	set := spanTestSet(t)
+	for name, reg := range map[string]func(*Registry){
+		"counter": func(r *Registry) { r.Counter(MetricSpanTardiness, "") },
+		"source":  func(r *Registry) { NewSpanBuilder(set, SpanOptions{Metrics: r}) },
+	} {
+		func() {
+			r := NewRegistry()
+			reg(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: sketch source over a taken name did not panic", name)
+				}
+			}()
+			NewSpanBuilder(set, SpanOptions{Metrics: r})
+		}()
+	}
 	r := NewRegistry()
-	r.Counter("asets_conflict", "")
+	NewSpanBuilder(set, SpanOptions{Metrics: r})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("sketch over an existing counter name did not panic")
+			t.Fatal("gauge over a sketch base name did not panic")
 		}
 	}()
-	r.Sketch("asets_conflict", "", 0.01)
+	r.Gauge("asets_window_response", "")
 }
 
 func TestPrometheusSketchExport(t *testing.T) {
 	r := NewRegistry()
-	s := r.Sketch("asets_plain", "a plain sketch", 0.01)
-	s.ObserveBatch([]float64{0, 1, 2, 3, 4})
-	var b strings.Builder
-	if err := WritePrometheus(&b, r); err != nil {
+	b := NewSpanBuilder(spanTestSet(t), SpanOptions{Metrics: r})
+	for i, resp := range []float64{0, 1, 2, 3} {
+		windowEvents(b, i, 0, resp)
+	}
+	var out strings.Builder
+	if err := WritePrometheus(&out, r); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
 	for _, want := range []string{
-		"# HELP asets_plain a plain sketch",
-		"# TYPE asets_plain summary",
-		`asets_plain{quantile="0.5"} `,
-		`asets_plain{quantile="0.95"} `,
-		`asets_plain{quantile="0.99"} `,
-		"asets_plain_sum 10",
-		"asets_plain_count 5",
+		"# HELP asets_span_response per-span response time quantile sketch",
+		"# TYPE asets_span_response summary",
+		`asets_span_response{quantile="0.5"} `,
+		`asets_span_response{quantile="0.95"} `,
+		`asets_span_response{quantile="0.99"} `,
+		"asets_span_response_sum 6",
+		"asets_span_response_count 4",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("export missing %q:\n%s", want, out)
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("export missing %q:\n%s", want, out.String())
 		}
 	}
 }

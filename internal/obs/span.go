@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,11 +25,11 @@ import (
 // state lives in a dense array indexed by transaction ID (no map, no per-txn
 // tracking allocation), span and starter-segment storage bump-allocates from
 // arenas preallocated at construction, closed spans recycle through a free
-// list once the Keep bound compacts them, windowed sketch cells are interned
-// by dense (window, class, mode) indices instead of per-completion formatted
-// names, and sketch inserts batch through fixed inline buffers that flush
-// whenever the builder drains. docs/OBSERVABILITY.md ("Overhead budgets") carries the
-// enforced numbers.
+// list once the Keep bound compacts them, and sketch observations go through
+// one fixed pending buffer into the builder's sketch store (sketchstore.go),
+// whose window cells are found through a dense [window][class][mode] slot
+// table and are named only when first exported. docs/OBSERVABILITY.md
+// ("Overhead budgets") carries the enforced numbers.
 
 // SegmentKind classifies one stretch of a transaction's lifetime.
 type SegmentKind int
@@ -236,8 +238,8 @@ const (
 // WindowMetric returns the registered name of a windowed sketch cell, e.g.
 // `asets_window_tardiness{window="0003",class="heavy",mode="edf"}`. The
 // window index is zero-padded so registry name sorting orders cells by time.
-// It is called only at cell-registration time (newCell); per-completion
-// lookups go through the interned cellKey index instead.
+// It is called only when a cell is first exported, and the name is cached in
+// the cell; completions reach their cell through the dense slot table.
 //
 // Class and mode values are escaped for the Prometheus exposition format
 // (EscapeLabel): the mode name is interned from event Detail strings, which
@@ -307,54 +309,10 @@ type spanState struct {
 	active   bool
 }
 
-// spanBatchSize is the per-sketch insert buffer length: observations
-// accumulate in a fixed inline array and flush under one sketch lock when
-// the buffer fills or the builder drains.
-const spanBatchSize = 64
-
-// batch is a fixed-capacity insert buffer for one sketch. Values reach the
-// sketch in exact insertion order whether they leave via a full-buffer flush
-// or a drain, so running sums stay bit-identical to unbatched observation.
-type batch struct {
-	n   int
-	buf [spanBatchSize]float64
-}
-
-// push buffers v, flushing into s when the buffer fills.
-func (p *batch) push(s *Sketch, v float64) {
-	p.buf[p.n] = v
-	p.n++
-	if p.n == spanBatchSize {
-		s.ObserveBatch(p.buf[:])
-		p.n = 0
-	}
-}
-
-// windowCell holds the three resolved sketch handles of one
-// (window, class, mode) cell — interned once, so completions never rebuild
-// the formatted metric names — plus their pending insert buffers.
-type windowCell struct {
-	tard, resp, slow *Sketch
-	bT, bR, bS       batch
-	dirty            bool
-}
-
-// flush drains the cell's pending buffers into their sketches.
-func (c *windowCell) flush() {
-	if c.bT.n > 0 {
-		c.tard.ObserveBatch(c.bT.buf[:c.bT.n])
-		c.bT.n = 0
-	}
-	if c.bR.n > 0 {
-		c.resp.ObserveBatch(c.bR.buf[:c.bR.n])
-		c.bR.n = 0
-	}
-	if c.bS.n > 0 {
-		c.slow.ObserveBatch(c.bS.buf[:c.bS.n])
-		c.bS.n = 0
-	}
-	c.dirty = false
-}
+// spanPendingLen is the length of the builder's pending observation buffer:
+// observations accumulate in a fixed inline array and reach the sketch store
+// under one lock when the buffer fills or the builder drains.
+const spanPendingLen = 64
 
 // spanArenaSpans caps the preallocated span arena. Small runs get full
 // coverage (every span arena-served); large runs warm the free list within
@@ -366,13 +324,6 @@ const spanArenaSpans = 4096
 // arena per arena-served span — enough for the common queued/running/
 // preempted/queued shapes; busier spans spill to a heap-grown list.
 const segRegionLen = 4
-
-// cellKey identifies one windowed sketch cell by dense indices.
-type cellKey struct {
-	win   int32
-	class int8
-	mode  int8
-}
 
 // SpanBuilder folds the decision event stream into spans. It is a Sink (and
 // a SharedSink); like Ring it locks internally, so the single emitting
@@ -401,14 +352,24 @@ type SpanBuilder struct {
 	arenaN    int
 	segArena  []Segment
 	segN      int
-	global    *windowCell // run-total sketches; nil until the first completed span
-	cells     map[cellKey]*windowCell
-	dirty     []*windowCell // cells with buffered observations, first-dirty order
-	done      []*Span
-	free      []*Span // spans recycled by Keep-compaction, ready for reuse
-	total     uint64
-	stallAt   float64 // time of the most recent stall window entry
-	hasStall  bool
+	// store holds the span sketches (nil without a Metrics registry);
+	// pending buffers observations bound for it, in event order.
+	store    *sketchStore
+	observed bool // a completed span has been observed
+	pending  [spanPendingLen]pendingObs
+	npending int
+	// Window cells are found through a dense slot table: rowWin lists the
+	// windows that have cells, ascending, and row r of slots holds the
+	// cells of window rowWin[r] at [class*modeCap + mode], for modes below
+	// modeCap.
+	rowWin   []int32
+	slots    []*winCell
+	modeCap  int
+	done     []*Span
+	free     []*Span // spans recycled by Keep-compaction, ready for reuse
+	total    uint64
+	stallAt  float64 // time of the most recent stall window entry
+	hasStall bool
 }
 
 // NewSpanBuilder returns a builder for transactions of set. The set provides
@@ -425,7 +386,10 @@ func NewSpanBuilder(set *txn.Set, opts SpanOptions) *SpanBuilder {
 		wfOf:      make([]int32, set.Len()),
 		states:    make([]spanState, set.Len()),
 		modeNames: []string{"edf", "hdf"},
-		cells:     make(map[cellKey]*windowCell),
+		modeCap:   2,
+	}
+	if opts.Metrics != nil {
+		b.store = newSketchStore(opts.Metrics, opts.Alpha)
 	}
 	for i := range b.wfOf {
 		b.wfOf[i] = -1
@@ -781,86 +745,85 @@ func (b *SpanBuilder) compact() {
 	b.done = b.done[:n]
 }
 
-// observe feeds one completed span into the batched registry sketches. The
-// cell lookup is a dense-index map access — no formatted names, no string
-// hashing on the completion path.
+// observe buffers one completed span's observation for the sketch store.
+// The window cell is a slot-table lookup — no map, no formatted name.
 func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
-	if b.opts.Metrics == nil {
+	if b.store == nil {
 		return
 	}
-	if b.global == nil {
-		b.initGlobal()
+	if !b.observed {
+		b.observed = true
+		b.store.openTotals()
 	}
-	g := b.global
-	g.bT.push(g.tard, sp.Tardiness)
-	g.bR.push(g.resp, sp.Response)
-	g.bS.push(g.slow, sp.Slowdown)
-	b.markDirty(g)
-	if b.opts.Window <= 0 {
-		return
+	var c *winCell
+	if b.opts.Window > 0 {
+		c = b.cellOf(int32(sp.Finish/b.opts.Window), class, mode)
 	}
-	key := cellKey{win: int32(sp.Finish / b.opts.Window), class: class, mode: mode}
-	c := b.cells[key]
-	if c == nil {
-		c = b.newCell(int(key.win), classNames[class], b.modeNames[mode])
-		b.cells[key] = c
-	}
-	c.bT.push(c.tard, sp.Tardiness)
-	c.bR.push(c.resp, sp.Response)
-	c.bS.push(c.slow, sp.Slowdown)
-	b.markDirty(c)
-}
-
-// markDirty queues a cell for the next drain flush.
-func (b *SpanBuilder) markDirty(c *windowCell) {
-	if !c.dirty {
-		c.dirty = true
-		//lint:ignore hotpath-alloc the dirty work list grows to the cells touched per drain, then is reused via [:0]
-		b.dirty = append(b.dirty, c)
+	b.pending[b.npending] = pendingObs{cell: c, v: [3]float64{sp.Tardiness, sp.Response, sp.Slowdown}}
+	b.npending++
+	if b.npending == spanPendingLen {
+		b.flushLocked()
 	}
 }
 
-// initGlobal resolves the run-total sketch handles — lazily, at the first
-// completed span, so a builder that never observes anything registers no
-// metrics (the pre-batching contract).
+// cellOf returns the cell of (win, class, mode). Completions arrive in
+// time order, so the cell is almost always in the newest window row; any
+// other window goes through openCell.
+func (b *SpanBuilder) cellOf(win int32, class, mode int8) *winCell {
+	if r := len(b.rowWin) - 1; r >= 0 && b.rowWin[r] == win && int(mode) < b.modeCap {
+		if c := b.slots[(r*NumWeightClasses+int(class))*b.modeCap+int(mode)]; c != nil {
+			return c
+		}
+	}
+	return b.openCell(win, class, mode)
+}
+
+// openCell finds the cell of (win, class, mode) off the newest-row fast
+// path, widening the slot table for a new mode, inserting a row for a new
+// window, and creating the cell if it does not exist yet.
 //
-//lint:coldpath run-total sketch registration happens once per run
-func (b *SpanBuilder) initGlobal() {
-	reg, alpha := b.opts.Metrics, b.opts.Alpha
-	b.global = &windowCell{
-		tard: reg.Sketch(MetricSpanTardiness, "per-span tardiness quantile sketch", alpha),
-		resp: reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch", alpha),
-		slow: reg.Sketch(MetricSpanSlowdown, "per-span slowdown quantile sketch", alpha),
+//lint:coldpath runs once per new window row or cell, and for completions out of time order
+func (b *SpanBuilder) openCell(win int32, class, mode int8) *winCell {
+	if int(mode) >= b.modeCap {
+		b.widenSlots(len(b.modeNames))
 	}
+	stride := NumWeightClasses * b.modeCap
+	r := sort.Search(len(b.rowWin), func(i int) bool { return b.rowWin[i] >= win })
+	if r == len(b.rowWin) || b.rowWin[r] != win {
+		b.rowWin = slices.Insert(b.rowWin, r, win)
+		at := r * stride
+		for i := 0; i < stride; i++ {
+			b.slots = append(b.slots, nil)
+		}
+		copy(b.slots[at+stride:], b.slots[at:])
+		clear(b.slots[at : at+stride])
+	}
+	slot := &b.slots[r*stride+int(class)*b.modeCap+int(mode)]
+	if *slot == nil {
+		*slot = b.store.newCell(win, class, b.modeNames[mode])
+	}
+	return *slot
 }
 
-// newCell registers the three sketches of one windowed cell. The fmt-built
-// label names live only here, once per cell — completions reach their cell
-// through the interned cellKey index.
-//
-//lint:coldpath window-cell registration happens once per (window, class, mode) cell, not per completion
-func (b *SpanBuilder) newCell(win int, class, mode string) *windowCell {
-	reg, alpha := b.opts.Metrics, b.opts.Alpha
-	return &windowCell{
-		tard: reg.Sketch(WindowMetric("tardiness", win, class, mode),
-			"windowed tardiness quantile sketch", alpha),
-		resp: reg.Sketch(WindowMetric("response", win, class, mode),
-			"windowed response time quantile sketch", alpha),
-		slow: reg.Sketch(WindowMetric("slowdown", win, class, mode),
-			"windowed slowdown quantile sketch", alpha),
+// widenSlots re-lays the slot table out for modeCap modes.
+func (b *SpanBuilder) widenSlots(modeCap int) {
+	old, oldCap := b.slots, b.modeCap
+	b.slots = make([]*winCell, len(b.rowWin)*NumWeightClasses*modeCap)
+	for i := 0; i < len(b.rowWin)*NumWeightClasses; i++ {
+		copy(b.slots[i*modeCap:], old[i*oldCap:(i+1)*oldCap])
 	}
+	b.modeCap = modeCap
 }
 
-// flushLocked drains every dirty cell's pending buffers into the sketches.
-// Drains happen whenever no span is open — which includes the end of every
-// run, since each transaction completes or is shed — so registry snapshots
-// taken after a run always see every observation. Callers hold b.mu.
+// flushLocked hands the pending observations to the sketch store. Drains
+// happen whenever no span is open — which includes the end of every run,
+// since each transaction completes or is shed — so registry snapshots taken
+// after a run always see every observation. Callers hold b.mu.
 func (b *SpanBuilder) flushLocked() {
-	for i, c := range b.dirty {
-		c.flush()
-		b.dirty[i] = nil
+	if b.npending > 0 {
+		b.store.add(b.pending[:b.npending])
+		b.npending = 0
 	}
-	b.dirty = b.dirty[:0]
 }
 
 // Flush drains any pending batched sketch observations. The server calls it
@@ -912,7 +875,8 @@ func (b *SpanBuilder) Total() uint64 {
 
 // RetainedBytes estimates the memory the builder pins: retained and
 // free-listed spans with their segment arrays, the dense per-transaction
-// state table, and the window-cell index. Cold; called at scrape time.
+// state table, the window slot table, and the sketch store's cells and
+// bucket arrays. Cold; called at scrape time.
 func (b *SpanBuilder) RetainedBytes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -925,7 +889,10 @@ func (b *SpanBuilder) RetainedBytes() int {
 	for _, sp := range b.free {
 		total += spanSize + cap(sp.Segments)*segSize
 	}
-	total += len(b.cells) * int(unsafe.Sizeof(windowCell{}))
+	total += cap(b.rowWin)*int(unsafe.Sizeof(int32(0))) + cap(b.slots)*int(unsafe.Sizeof((*winCell)(nil)))
+	if b.store != nil {
+		total += b.store.retainedBytes()
+	}
 	// Arena capacity not yet handed out (handed-out regions are already
 	// counted through the done/free spans that own them).
 	total += (len(b.spanArena) - b.arenaN) * spanSize

@@ -29,24 +29,33 @@ func TestWindowMetricEscapesLabels(t *testing.T) {
 	}
 }
 
-// TestWindowMetricExpositionUnbroken registers a sketch under a hostile
-// class name and checks the full exposition stays line-structured: every
+// TestWindowMetricExpositionUnbroken feeds a hostile mode name (it arrives
+// in a mode-switch event's Detail, which a replayed stream controls) into a
+// windowed cell and checks the full exposition stays line-structured: every
 // line is a comment or a single sample, and no label value ends a line
 // early.
 func TestWindowMetricExpositionUnbroken(t *testing.T) {
 	reg := NewRegistry()
-	sk := reg.Sketch(WindowMetric("tardiness", 0, "bad\"}\nclass", "edf"),
-		"windowed tardiness", 0.01)
-	sk.ObserveBatch([]float64{1.5, 3})
+	b := NewSpanBuilder(spanTestSet(t), SpanOptions{Metrics: reg, Window: 5})
+	emitAll(b, []Event{
+		{Time: 0, Kind: KindArrival, Txn: 0, Workflow: -1, Deadline: 10},
+		{Time: 0, Kind: KindDispatch, Txn: 0, Workflow: -1},
+		{Time: 1, Kind: KindModeSwitch, Txn: -1, Workflow: 0, Detail: "edf->bad\"}\nmode"},
+		{Time: 1.5, Kind: KindCompletion, Txn: 0, Workflow: -1, Tardiness: 3},
+	})
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, reg); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `mode="bad\"}\nmode"`) {
+		t.Fatalf("hostile mode not exported escaped:\n%s", buf.String())
 	}
 	for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		if line == "" {
 			t.Fatalf("line %d empty — a label value broke the exposition:\n%s", i, buf.String())
 		}
-		if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "asets_window_tardiness") {
+		if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "asets_window_") &&
+			!strings.HasPrefix(line, "asets_span_") {
 			t.Fatalf("line %d is neither comment nor sample: %q", i, line)
 		}
 	}
