@@ -170,7 +170,11 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	if policy == nil {
 		policy = NewRoundRobin()
 	}
-	rec := newRecorder(cfg.Sink, cfg.Metrics)
+	// One recorder serves every instance: with a single staging buffer,
+	// batching cannot reorder the routed stream. It is nil when nothing
+	// observes the run, and it flushes before every pause and on every exit.
+	rec := obs.NewRecorder(cfg.Sink, cfg.Metrics, obs.LayerFault|obs.LayerContention|obs.LayerCluster)
+	defer rec.Flush()
 
 	// newSched builds one instance's scheduler: at construction and again
 	// after every crash, because a crash is a process restart — the drained
@@ -181,9 +185,9 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 		s := cfg.NewScheduler()
 		s.Init(set)
 		// Policies that narrate their internal decisions (ASETS* aging and
-		// mode switches) emit straight into the ordered cluster stream.
-		if ss, ok := s.(sched.SinkSetter); ok && cfg.Sink != nil {
-			ss.SetSink(rec.sink)
+		// mode switches) emit through the recorder, which counts them.
+		if ss, ok := s.(sched.SinkSetter); ok && rec != nil {
+			ss.SetSink(rec)
 		}
 		return s
 	}
@@ -203,9 +207,11 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 			sc := *cfg.SLO
 			sc.Instance = inst.name
 			inst.slo = slo.NewEngine(sc, cfg.Metrics)
-			// Alerts funnel through the recorder's sink unbatched on the
-			// engine goroutine, like every other routed decision event.
-			inst.slo.Bind(rec.sink)
+			// Alerts join the routed stream through the recorder, in
+			// emission order with every other decision event.
+			if rec != nil {
+				inst.slo.Bind(rec)
+			}
 		}
 		insts[i] = inst
 	}
@@ -453,6 +459,8 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 			event = now
 		}
 		if event > now && cfg.Pace != nil {
+			// Live readers see every decision up to the pause.
+			rec.Flush()
 			if err := cfg.Pace(event); err != nil {
 				return nil, err
 			}
@@ -542,7 +550,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 			if idx != inst.stallSeen {
 				inst.stallSeen = idx
 				inst.inj.RecordStallEntered()
-				rec.StallEntered(now, w, inst.name)
+				rec.Stall(now, w.Duration, w.Kind.String()+"@"+inst.name)
 			}
 			if w.Kind == fault.Crash && idx != inst.crashSeen {
 				inst.crashSeen = idx

@@ -15,6 +15,9 @@
 // keep their original arrival time, so tardiness accounting stays honest:
 // the SLA clock never resets because the operator's backend crashed.
 //
+// Every decision is recorded through the one obs.Recorder of the run, the
+// same emission point the single-backend loop uses.
+//
 // Determinism is the same contract as everywhere else in the repository:
 // every routing, ejection and failover decision is a pure function of the
 // configuration, the seeds and simulated time, so a fixed-seed routed run
@@ -125,10 +128,13 @@ type Config struct {
 	MaxSteps int
 	// Sink, when non-nil, receives the routed decision-event stream —
 	// the per-instance scheduling events interleaved with route/failover/
-	// eject/recover — in one globally time-ordered sequence.
+	// eject/recover — in one globally time-ordered sequence. One
+	// obs.Recorder, shared by every instance, stages it, so batched
+	// delivery cannot reorder instances.
 	Sink obs.Sink
 	// Metrics, when non-nil, accumulates the run's counters (the
-	// asets_sched_* and asets_fault_* families plus asets_cluster_*).
+	// asets_sched_* family, policy-internal counters included, and the
+	// asets_fault_*, asets_contention_* and asets_cluster_* families).
 	Metrics *obs.Registry
 	// SLO, when non-nil, attaches one SLO alert engine per instance (each
 	// fault domain is its own alerting domain, labeled with the instance

@@ -158,7 +158,8 @@ type ASETSStar struct {
 	// sink, when non-nil, receives the policy-internal decision events the
 	// generic interface-level instrumentation cannot see: balance-aware
 	// aging activations and EDF→HDF entity migrations. Installed through
-	// SetSink (the sched.SinkSetter seam used by sched.Instrument).
+	// SetSink (the sched.SinkSetter seam the event loops hand their
+	// obs.Recorder to).
 	sink obs.Sink
 }
 

@@ -1,11 +1,12 @@
 package obs
 
 // Emitter is the devirtualized dispatch table of the enabled event path.
-// Instrumentation wrappers construct one at wiring time from whatever Sink
-// chain the run was configured with; the fast path then fans each event out
-// through a flat function-pointer table instead of nested Sink interface
-// calls (Tee inside Tee inside Timed), and passes the event by pointer so a
-// single caller-owned scratch struct serves every emission.
+// The decision-event recorder and the SLO layer construct one at wiring
+// time from whatever Sink chain the run was configured with; the fast path
+// then fans each event out through a flat function-pointer table instead of
+// nested Sink interface calls (Tee inside Tee inside Timed), and passes the
+// event by pointer so a single caller-owned scratch struct serves every
+// emission.
 //
 // The flattening happens once, at construction: Tee chains are inlined,
 // Discard and nil sinks are dropped, and every sink implementing SharedSink

@@ -30,6 +30,8 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"unicode/utf16"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/txn"
@@ -212,10 +214,43 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	}
 	if e.Detail != "" {
 		b = append(b, `,"detail":`...)
-		b = strconv.AppendQuote(b, e.Detail)
+		b = appendJSONString(b, e.Detail)
 	}
 	b = append(b, '}')
 	return b, nil
+}
+
+// appendJSONString appends s as a JSON string. Printable text is written
+// as strconv.Quote writes it; everything else gets an escape JSON accepts
+// (Quote's \x, \a, \v and \U forms are not JSON), and invalid UTF-8
+// becomes U+FFFD, as a JSON decoder would read it.
+//
+//lint:coldpath JSON encoding serves the offline-capture and SSE sinks, never a benchmark run's event path
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r == '\n':
+			b = append(b, `\n`...)
+		case r == '\r':
+			b = append(b, `\r`...)
+		case r == '\t':
+			b = append(b, `\t`...)
+		case strconv.IsPrint(r) || r == utf8.RuneError:
+			b = utf8.AppendRune(b, r)
+		default:
+			if r > 0xffff { // written as a surrogate pair
+				var hi rune
+				hi, r = utf16.EncodeRune(r)
+				b = append(b, '\\', 'u', hex[hi>>12&0xf], hex[hi>>8&0xf], hex[hi>>4&0xf], hex[hi&0xf])
+			}
+			b = append(b, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+		}
+	}
+	return append(b, '"')
 }
 
 // KindFromString is the inverse of Kind.String.

@@ -11,8 +11,18 @@
 package sched
 
 import (
+	"repro/internal/obs"
 	"repro/internal/txn"
 )
+
+// SinkSetter is the optional seam for policies that emit events about their
+// internal decisions — ASETS* reports balance-aware aging activations and
+// EDF↔HDF entity migrations through it. The event loops hand it the run's
+// obs.Recorder, so policy-internal events land in the same stream as the
+// decision-loop events, counted on their way.
+type SinkSetter interface {
+	SetSink(obs.Sink)
+}
 
 // Scheduler is the contract between the simulator and a scheduling policy.
 //

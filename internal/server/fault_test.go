@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -194,10 +195,10 @@ func TestFaultReplayThroughServer(t *testing.T) {
 	body, _ := getBody(t, ts.URL+"/metrics")
 	samples := promSamples(t, body)
 	for metric, want := range map[string]int{
-		fault.MetricShed:     st.Shed,
-		fault.MetricAborts:   st.Aborts,
-		fault.MetricRestarts: st.Restarts,
-		fault.MetricStalls:   st.Stalls,
+		obs.MetricShed:     st.Shed,
+		obs.MetricAborts:   st.Aborts,
+		obs.MetricRestarts: st.Restarts,
+		obs.MetricStalls:   st.Stalls,
 	} {
 		if got := samples[metric]; got != strconv.Itoa(want) {
 			t.Errorf("%s = %q, want %d", metric, got, want)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -63,17 +62,17 @@ func TestMetricsAgreeWithSummary(t *testing.T) {
 		counters[c.Name] = c.Value
 	}
 	n := uint64(summary.N)
-	if counters[sched.MetricArrivals] != n || counters[sched.MetricCompletions] != n {
-		t.Fatalf("arrivals/completions = %d/%d, want %d", counters[sched.MetricArrivals], counters[sched.MetricCompletions], n)
+	if counters[obs.MetricArrivals] != n || counters[obs.MetricCompletions] != n {
+		t.Fatalf("arrivals/completions = %d/%d, want %d", counters[obs.MetricArrivals], counters[obs.MetricCompletions], n)
 	}
 	wantMisses := uint64(math.Round(summary.MissRatio * float64(summary.N)))
-	if counters[sched.MetricMisses] != wantMisses {
-		t.Fatalf("misses = %d, want %d", counters[sched.MetricMisses], wantMisses)
+	if counters[obs.MetricMisses] != wantMisses {
+		t.Fatalf("misses = %d, want %d", counters[obs.MetricMisses], wantMisses)
 	}
 
 	var tard obs.HistogramValue
 	for _, h := range snap.Histograms {
-		if h.Name == sched.MetricTardiness {
+		if h.Name == obs.MetricTardiness {
 			tard = h
 		}
 	}
@@ -93,16 +92,16 @@ func TestMetricsAgreeWithSummary(t *testing.T) {
 	// Event-stream consistency: dispatches = completions + preemptions
 	// (every check-out ends in exactly one of the two), and the event
 	// counts match the counters.
-	if counters[sched.MetricDispatches] != counters[sched.MetricCompletions]+counters[sched.MetricPreemptions] {
+	if counters[obs.MetricDispatches] != counters[obs.MetricCompletions]+counters[obs.MetricPreemptions] {
 		t.Fatalf("dispatches %d != completions %d + preemptions %d",
-			counters[sched.MetricDispatches], counters[sched.MetricCompletions], counters[sched.MetricPreemptions])
+			counters[obs.MetricDispatches], counters[obs.MetricCompletions], counters[obs.MetricPreemptions])
 	}
 	kinds := map[obs.Kind]uint64{}
 	for _, ev := range col.Events() {
 		kinds[ev.Kind]++
 	}
-	if kinds[obs.KindDispatch] != counters[sched.MetricDispatches] ||
-		kinds[obs.KindDeadlineMiss] != counters[sched.MetricMisses] {
+	if kinds[obs.KindDispatch] != counters[obs.MetricDispatches] ||
+		kinds[obs.KindDeadlineMiss] != counters[obs.MetricMisses] {
 		t.Fatalf("event counts %v disagree with counters %v", kinds, counters)
 	}
 }
@@ -135,8 +134,8 @@ func TestModeSwitchEventsReachSink(t *testing.T) {
 	for _, c := range reg.Snapshot().Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters[sched.MetricModeSwitch] != switches {
-		t.Fatalf("mode-switch counter %d != events %d", counters[sched.MetricModeSwitch], switches)
+	if counters[obs.MetricModeSwitch] != switches {
+		t.Fatalf("mode-switch counter %d != events %d", counters[obs.MetricModeSwitch], switches)
 	}
 }
 

@@ -225,7 +225,7 @@ type hooks struct {
 func (e *Sim) run(set *txn.Set, s sched.Scheduler, h hooks) (*metrics.Summary, error) {
 	cfg := e.cfg
 	n := set.Len()
-	l := &loop{set: set, rec: cfg.Recorder, ctrl: cfg.Admit, hooks: h, stallSeen: -1}
+	l := &loop{set: set, trace: cfg.Recorder, ctrl: cfg.Admit, hooks: h, stallSeen: -1}
 	var err error
 	if l.servers, err = cfg.servers(); err != nil {
 		return nil, err
@@ -248,8 +248,7 @@ func (e *Sim) run(set *txn.Set, s sched.Scheduler, h hooks) (*metrics.Summary, e
 	set.ResetAll()
 	// The SLO engine wraps the configured sink so it sees the event stream
 	// exactly as emitted and injects alert transitions in stream order;
-	// everything downstream of here (instrumentation, recorders) emits
-	// through the wrapper.
+	// the recorder emits through the wrapper.
 	sink := cfg.Sink
 	var sloSink *slo.Sink
 	if cfg.SLO != nil {
@@ -259,28 +258,27 @@ func (e *Sim) run(set *txn.Set, s sched.Scheduler, h hooks) (*metrics.Summary, e
 		sloSink = slo.NewSink(slo.NewEngine(*cfg.SLO, cfg.Metrics), set, sink)
 		sink = sloSink
 	}
-	// The instrumentation wrapper covers every policy at the decision-loop
-	// boundary; with neither a sink nor a registry it is a no-op returning
-	// s itself, so uninstrumented runs pay nothing.
-	s = sched.Instrument(s, sink, cfg.Metrics)
-	s.Init(set)
-	l.s = s
-	l.flusher, _ = s.(sched.ObsFlusher)
-	if l.inj != nil || l.ctrl != nil {
-		// The recorder emits through the instrumented scheduler's staged
-		// event entry, so its outage/shedding events stay interleaved with
-		// the decision-loop events in true emission order even though
-		// delivery to the sinks is batched.
-		l.frec = fault.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
-	}
 	// A workload with read/write sets switches on the contention model:
 	// commit-time validation with re-execution replaces the injector's
 	// random abort draws (docs/CONTENTION.md). NewValidator returns nil for
 	// plain workloads, keeping them on the exact pre-contention path.
 	l.val = contention.NewValidator(set)
-	if l.val != nil {
-		l.crec = contention.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
+	var layers obs.Layers
+	if l.inj != nil || l.ctrl != nil {
+		layers |= obs.LayerFault
 	}
+	if l.val != nil {
+		layers |= obs.LayerContention
+	}
+	// With neither a sink nor a registry the recorder is nil and every
+	// recording call returns at once.
+	l.rec = obs.NewRecorder(sink, cfg.Metrics, layers)
+	if ss, ok := s.(sched.SinkSetter); ok && l.rec != nil {
+		// Policy-internal events join the stream in emission order.
+		ss.SetSink(l.rec)
+	}
+	s.Init(set)
+	l.s = s
 
 	if h.sessions != nil {
 		l.order = make([]*txn.Transaction, 0, n)
@@ -318,12 +316,10 @@ func (e *Sim) run(set *txn.Set, s sched.Scheduler, h hooks) (*metrics.Summary, e
 	}
 
 	err = l.run()
-	// Drain batched instrumentation buffers before any reader can snapshot
-	// the registry — callers observe the post-run state, never a partial
-	// batch, even when a paced run was cancelled.
-	if l.flusher != nil {
-		l.flusher.FlushObs()
-	}
+	// Drain the recorder before any reader can snapshot the registry —
+	// callers observe the post-run state, never a partial batch, even when
+	// a paced run was cancelled.
+	l.rec.Flush()
 	if sloSink != nil {
 		// Final gauge publication; the open partial window is never
 		// evaluated (the slo package's determinism contract).
@@ -346,11 +342,6 @@ func (e *Sim) run(set *txn.Set, s sched.Scheduler, h hooks) (*metrics.Summary, e
 	if l.val != nil {
 		summary.ValidateFails = l.val.Fails()
 	}
-	// The run is over and nothing retains the instrumentation wrapper (the
-	// caller owns the sink and the registry, not the wrapper), so recycle it
-	// for the next run. Error paths above skip this and simply let the
-	// wrapper be collected.
-	sched.ReleaseObs(s)
 	return summary, nil
 }
 
@@ -359,16 +350,14 @@ type loop struct {
 	hooks
 	set      *txn.Set
 	s        sched.Scheduler
-	flusher  sched.ObsFlusher
+	rec      *obs.Recorder // decision events and counts; nil when unobserved
 	servers  int
 	maxSteps int
 
-	rec  *trace.Recorder
-	inj  *fault.Injector
-	frec *fault.Recorder
-	ctrl admit.Controller
-	val  *contention.Validator
-	crec *contention.Recorder
+	trace *trace.Recorder
+	inj   *fault.Injector
+	ctrl  admit.Controller
+	val   *contention.Validator
 
 	// order holds the transactions in delivery order, consumed from next
 	// on: the whole set sorted by arrival, or — in a closed loop — the
@@ -441,6 +430,7 @@ func (l *loop) run() error {
 			if t == nil {
 				break
 			}
+			l.rec.Dispatch(now, t, "")
 			if t.Finished {
 				//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
 				return fmt.Errorf("sim: scheduler returned finished transaction %d", t.ID)
@@ -514,8 +504,8 @@ func (l *loop) run() error {
 		// Advance all servers to the event.
 		dt := event - now
 		for _, t := range running {
-			if l.rec != nil && dt > 0 {
-				l.rec.Record(t.ID, now, event)
+			if l.trace != nil && dt > 0 {
+				l.trace.Record(t.ID, now, event)
 			}
 			t.Remaining -= dt
 			l.busy += dt
@@ -541,7 +531,8 @@ func (l *loop) run() error {
 					// dispatch opens a fresh incarnation.
 					l.backlog += t.Length - t.Remaining
 					t.Remaining = t.Length
-					l.crec.ValidateFail(now, t)
+					l.rec.ValidateFail(now, t, "")
+					l.rec.Preempt(now, t)
 					l.s.OnPreempt(now, t)
 					continue
 				}
@@ -549,7 +540,7 @@ func (l *loop) run() error {
 				l.backlog += t.Length - t.Remaining
 				t.Remaining = t.Length
 				retryAt := l.inj.RecordAbort(now, t)
-				l.frec.Abort(now, t, "abort", retryAt)
+				l.rec.Abort(now, t, "abort", retryAt)
 				continue
 			}
 			l.complete(now, t)
@@ -570,12 +561,13 @@ func (l *loop) run() error {
 							l.val.Reset(t)
 						}
 						l.inj.RecordCrashLoss(t)
-						l.frec.Abort(now, t, "crash", now)
+						l.rec.Abort(now, t, "crash", now)
 					}
 				}
 			}
 		}
 		for _, t := range still {
+			l.rec.Preempt(now, t)
 			l.s.OnPreempt(now, t)
 		}
 		running = running[:0]
@@ -607,9 +599,7 @@ func (l *loop) advance(now, event float64, running []*txn.Transaction) error {
 	if l.progress != nil {
 		l.progress(l.snapshot(now, running), nil)
 	}
-	if l.flusher != nil {
-		l.flusher.FlushObs()
-	}
+	l.rec.Flush()
 	return l.pace(event)
 }
 
@@ -621,6 +611,7 @@ func (l *loop) complete(now float64, t *txn.Transaction) {
 	t.Finished = true
 	t.FinishTime = now
 	l.done++
+	l.rec.Completion(now, t)
 	l.s.OnCompletion(now, t)
 	tard := t.Tardiness()
 	if tard > 0 {
@@ -630,7 +621,7 @@ func (l *loop) complete(now float64, t *txn.Transaction) {
 		l.ctrl.Complete(t, tard > 0)
 		if d := l.ctrl.Degraded(); d != l.degraded {
 			l.degraded = d
-			l.frec.Degrade(now, d)
+			l.rec.Degrade(now, d)
 		}
 	}
 	if l.sessions != nil {
@@ -654,7 +645,7 @@ func (l *loop) deliver(upTo float64) {
 			// transaction could never become ready.
 			if t.Shed {
 				l.shed++
-				l.frec.Shed(upTo, t, "cascade")
+				l.rec.Shed(upTo, t, "cascade")
 				continue
 			}
 			st := admit.State{
@@ -664,12 +655,13 @@ func (l *loop) deliver(upTo float64) {
 			if !l.ctrl.Admit(t, st) {
 				admit.CascadeShed(l.set, t)
 				l.shed++
-				l.frec.Shed(upTo, t, l.ctrl.Name())
+				l.rec.Shed(upTo, t, l.ctrl.Name())
 				continue
 			}
 		}
 		l.admitted++
 		l.backlog += t.Remaining
+		l.rec.Arrival(upTo, t)
 		l.s.OnArrival(upTo, t)
 	}
 }
@@ -682,7 +674,8 @@ func (l *loop) deliverRestarts(upTo float64) {
 	}
 	l.restarts = l.inj.PopDueRestarts(upTo, l.restarts[:0])
 	for _, t := range l.restarts {
-		l.frec.Restart(upTo, t)
+		l.rec.Restart(upTo, t)
+		l.rec.Preempt(upTo, t)
 		l.s.OnPreempt(upTo, t)
 	}
 }
@@ -692,7 +685,7 @@ func (l *loop) enterStall(now float64, w fault.Window, idx int) {
 	if idx != l.stallSeen {
 		l.stallSeen = idx
 		l.inj.RecordStallEntered()
-		l.frec.StallEntered(now, w)
+		l.rec.Stall(now, w.Duration, w.Kind.String())
 	}
 }
 

@@ -45,6 +45,9 @@ echo "== benchmark smoke test (live vs sim.Run digests, exactly-once completions
 echo "== asetslint"
 go run ./cmd/asetslint ./...
 
+echo "== fuzz the event-stream reader (10s)"
+go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/obs
+
 echo "== obs overhead benchmark"
 go run ./cmd/asetsbench -obs-bench BENCH_obs.json -n 1000
 cat BENCH_obs.json
