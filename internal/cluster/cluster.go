@@ -766,6 +766,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 			res.SLO = append(res.SLO, inst.slo.State())
 		}
 	}
+	rec.Flush() // the stream is complete before the board reports done
 	publish(true)
 	return res, nil
 }

@@ -156,7 +156,7 @@ type ASETSStar struct {
 	nextActivation float64
 
 	// sink, when non-nil, receives the policy-internal decision events the
-	// generic interface-level instrumentation cannot see: balance-aware
+	// event loops' recording around each Scheduler call cannot see: balance-aware
 	// aging activations and EDF→HDF entity migrations. Installed through
 	// SetSink (the sched.SinkSetter seam the event loops hand their
 	// obs.Recorder to).
